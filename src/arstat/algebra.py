@@ -15,11 +15,14 @@ truncation n_max is mandatory.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.special import gammaln
 
 from .errors import InvalidSpec, ModeOutOfRange
 
@@ -35,6 +38,7 @@ __all__ = [
     "structure_function",
     "ladder_matrices",
     "number_operator",
+    "occupation_energies",
     "verify_triple_relations",
     "hamiltonian",
     "hamiltonian_from_commutators",
@@ -44,6 +48,22 @@ __all__ = [
     "spectral_norm_estimate",
     "max_abs_entry",
 ]
+
+
+def _integral(value, name: str, error: type[Exception]) -> int:
+    """``value`` as an int, or ``error`` unless it is a finite integral number."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if as_int != value:
+        raise error(f"{name} must be an integer, got {value!r}")
+    return as_int
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -62,10 +82,15 @@ class StatisticsSpec:
     n_max: int | None = None
 
     def __post_init__(self):
-        if self.r < 1 or int(self.r) != self.r:
+        r = _integral(self.r, "mode count r", InvalidSpec)
+        if r < 1:
             raise InvalidSpec(f"mode count r must be a positive integer, got {self.r}")
+        object.__setattr__(self, "r", r)
         if self.s not in (+1, -1):
             raise InvalidSpec(f"sign s must be +1 or -1, got {self.s}")
+        object.__setattr__(self, "s", int(self.s))
+        if not isinstance(self.k, numbers.Real) or not math.isfinite(self.k):
+            raise InvalidSpec(f"label k must be a finite real number, got {self.k!r}")
         if not 2 * self.k - 1 > self.s:
             raise InvalidSpec(f"label k={self.k} violates 2k - 1 > s for s={self.s}")
         if self.s == -1:
@@ -73,18 +98,20 @@ class StatisticsSpec:
                 raise InvalidSpec(f"fermionic family needs integer k, got {self.k}")
             if self.k < 2:
                 raise InvalidSpec(f"fermionic family needs k >= 2, got {self.k}")
-        else:
-            if self.n_max is None:
-                raise InvalidSpec("bosonic family needs a finite truncation n_max")
-            if self.n_max < 0 or int(self.n_max) != self.n_max:
+        elif self.n_max is None:
+            raise InvalidSpec("bosonic family needs a finite truncation n_max")
+        if self.n_max is not None:
+            n_max = _integral(self.n_max, "n_max", InvalidSpec)
+            if n_max < 0:
                 raise InvalidSpec(f"n_max must be a non-negative integer, got {self.n_max}")
+            object.__setattr__(self, "n_max", n_max)
 
     @property
     def total_cap(self) -> int:
         """Largest admissible total occupancy (k - 1 fermionic, n_max bosonic)."""
         if self.s == -1:
             return int(self.k) - 1
-        return int(self.n_max)
+        return self.n_max
 
     @property
     def kappa(self) -> float:
@@ -119,6 +146,8 @@ class FockBasis:
 
     States are graded by total occupancy; within a grade the leading mode
     descends, matching the enumeration used throughout the worked examples.
+    ``occupations``, ``grades`` and ``log_coefficients`` are read-only arrays
+    in basis order, computed once per basis on first use.
     """
 
     spec: StatisticsSpec
@@ -132,13 +161,42 @@ class FockBasis:
     def state_index(self, occ: Sequence[int]) -> int:
         return self.index[tuple(occ)]
 
+    def state_indices(self, occupations: np.ndarray) -> np.ndarray:
+        """Basis positions of the rows of an (n, r) occupation array."""
+        return np.array([self.index[occ] for occ in map(tuple, occupations.tolist())], dtype=int)
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """Occupation numbers, shape (dim, r)."""
+        return _read_only(np.array(self.states, dtype=int).reshape(self.dim, self.spec.r))
+
+    @cached_property
     def grades(self) -> np.ndarray:
-        """Total occupancy of each basis state, in basis order."""
-        return np.array([sum(n) for n in self.states], dtype=int)
+        """Total occupancy of each basis state."""
+        return _read_only(self.occupations.sum(axis=1))
+
+    @cached_property
+    def log_coefficients(self) -> np.ndarray:
+        """Log monomial expansion coefficients ln C_n of the Bargmann realization.
+
+        C_n^2 = Gamma(k + |n|) / (Gamma(k) prod_i n_i!) for s = +1 and
+        Gamma(k) / (Gamma(k - |n|) prod_i n_i!) for s = -1; the scalar
+        ``bargmann.log_coefficient`` evaluates the same formula per state.
+        """
+        k, n_tot = self.spec.k, self.grades
+        if self.spec.s == +1:
+            log_ratio = gammaln(k + n_tot) - gammaln(k)
+        else:
+            log_ratio = gammaln(k) - gammaln(k - n_tot)
+        # mode by mode, in the scalar formula's summation order
+        log_factorials = np.zeros(self.dim)
+        for column in gammaln(self.occupations + 1).T:
+            log_factorials = log_factorials + column
+        return _read_only(0.5 * log_ratio - 0.5 * log_factorials)
 
     def grade_projector(self, cap: int) -> sparse.csr_matrix:
         """Diagonal projector onto states with total occupancy <= cap."""
-        diag = (self.grades() <= cap).astype(complex)
+        diag = (self.grades <= cap).astype(complex)
         return sparse.diags(diag).tocsr()
 
     def unit_vector(self, occ: Sequence[int]) -> np.ndarray:
@@ -230,20 +288,17 @@ def ladder_matrices(basis: FockBasis) -> LadderOperators:
     anyway, so truncation is exact on the whole space.
     """
     spec = basis.spec
+    occ = basis.occupations
+    # F_i(n) = 0.5 n_i * bracket(n) at each state n, the upper end of its lowering step
+    bracket = 2.0 * spec.k - (1 + spec.s) + 2.0 * spec.s * basis.grades
     minus, plus = [], []
     for i in range(spec.r):
-        rows, cols, vals = [], [], []
-        for col, occ in enumerate(basis.states):
-            if occ[i] == 0:
-                continue
-            target = list(occ)
-            target[i] -= 1
-            amp = math.sqrt(structure_function(spec, occ, i))
-            rows.append(basis.state_index(target))
-            cols.append(col)
-            vals.append(amp)
+        cols = np.flatnonzero(occ[:, i])
+        lowered = occ[cols].copy()
+        lowered[:, i] -= 1
+        amps = np.sqrt(0.5 * occ[cols, i] * bracket[cols])
         a = sparse.csr_matrix(
-            (np.array(vals, dtype=complex), (rows, cols)),
+            (amps.astype(complex), (basis.state_indices(lowered), cols)),
             shape=(basis.dim, basis.dim),
         )
         minus.append(OperatorMatrix(a, basis))
@@ -255,7 +310,7 @@ def number_operator(basis: FockBasis, mode: int) -> OperatorMatrix:
     """Diagonal occupancy operator for one mode."""
     if not 0 <= mode < basis.spec.r:
         raise ModeOutOfRange(f"mode {mode} outside 0..{basis.spec.r - 1}")
-    diag = np.array([occ[mode] for occ in basis.states], dtype=complex)
+    diag = basis.occupations[:, mode].astype(complex)
     return OperatorMatrix(sparse.diags(diag).tocsr(), basis, hermitian=True)
 
 
@@ -401,14 +456,18 @@ def hamiltonian(basis: FockBasis, hspec: HamiltonianSpec) -> OperatorMatrix:
     ``hamiltonian_from_commutators`` produces on interior states, without
     the truncation artifact in the top occupancy layer.
     """
-    spec = basis.spec
-    if len(hspec.e) != spec.r:
-        raise InvalidSpec(f"need {spec.r} mode energies, got {len(hspec.e)}")
-    diag = np.array(
-        [hspec.e0 + sum(ei * ni for ei, ni in zip(hspec.e, occ)) for occ in basis.states],
-        dtype=complex,
-    )
+    diag = occupation_energies(basis, hspec).astype(complex)
     return OperatorMatrix(sparse.diags(diag).tocsr(), basis, hermitian=True)
+
+
+def occupation_energies(basis: FockBasis, hspec: HamiltonianSpec) -> np.ndarray:
+    """e0 + sum_i e_i n_i for every basis state, in basis order."""
+    if len(hspec.e) != basis.spec.r:
+        raise InvalidSpec(f"need {basis.spec.r} mode energies, got {len(hspec.e)}")
+    total = np.zeros(basis.dim)
+    for e_i, n_i in zip(hspec.e, basis.occupations.T):
+        total = total + e_i * n_i
+    return hspec.e0 + total
 
 
 def hamiltonian_from_commutators(
@@ -455,7 +514,7 @@ def commutator_deviation(spec: StatisticsSpec, n_cap: int, ladders: LadderOperat
     basis = enumerate_basis(spec)
     if ladders is None:
         ladders = ladder_matrices(basis)
-    keep = np.flatnonzero(basis.grades() <= n_cap)
+    keep = np.flatnonzero(basis.grades <= n_cap)
     worst = 0.0
     for i in range(spec.r):
         for j in range(spec.r):

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import gammaln, roots_jacobi, roots_legendre
 
 from .algebra import FockBasis, LadderOperators, StatisticsSpec, ladder_matrices
@@ -69,6 +70,7 @@ def _overlap_power(spec: StatisticsSpec) -> float:
 # ------------------------------------------------------------ coefficients
 
 def log_coefficient(spec: StatisticsSpec, occ) -> float:
+    """ln C_n for one occupation; ``FockBasis.log_coefficients`` holds a whole basis."""
     n_tot = sum(occ)
     if spec.s == +1:
         log_ratio = gammaln(spec.k + n_tot) - gammaln(spec.k)
@@ -142,9 +144,8 @@ def coherent_vector(
                 f"truncation tail {tail:.3e} above {tail_tol:.1e} at |z|^2 = {rho:.4f}; "
                 "raise n_max"
             )
-    states = np.array(basis.states, dtype=int)
-    coeffs = np.exp([log_coefficient(spec, occ) for occ in basis.states])
-    monomials = np.prod(z[None, :] ** states, axis=1)
+    coeffs = np.exp(basis.log_coefficients)
+    monomials = np.prod(z[None, :] ** basis.occupations, axis=1)
     log_n = -_overlap_power(spec) * math.log1p(-spec.s * rho)
     normalization = math.exp(log_n)
     return CoherentVector(
@@ -162,9 +163,8 @@ def coherent_amplitude_matrix(spec: StatisticsSpec, basis: FockBasis, zs: np.nda
     bosonic family are expected to have sized n_max for their largest rho.
     """
     zs = np.asarray(zs, dtype=complex)
-    states = np.array(basis.states, dtype=int)
-    coeffs = np.exp([log_coefficient(spec, occ) for occ in basis.states])
-    monomials = np.prod(zs[:, None, :] ** states[None, :, :], axis=2)
+    coeffs = np.exp(basis.log_coefficients)
+    monomials = np.prod(zs[:, None, :] ** basis.occupations[None, :, :], axis=2)
     rho = np.sum(np.abs(zs) ** 2, axis=1)
     inv_norm = np.exp(_overlap_power(spec) * np.log1p(-spec.s * rho))
     return coeffs[None, :] * monomials * inv_norm[:, None]
@@ -471,6 +471,11 @@ def build_quadrature(
     raise InvalidSpec(f"unknown quadrature kind {kind!r}")
 
 
+def _radial_moment(rule: QuadratureRule, powers) -> float:
+    # integral of rho^powers against the measure (angular factors are 1)
+    return float(np.dot(rule.weights, np.prod(rule.rho ** powers, axis=1)))
+
+
 def monomial_moment(rule: QuadratureRule, occ_bra, occ_ket) -> float:
     """Measure moment of C z^bra conj(C z^ket); exact zero off-diagonal.
 
@@ -479,20 +484,18 @@ def monomial_moment(rule: QuadratureRule, occ_bra, occ_ket) -> float:
     """
     if tuple(occ_bra) != tuple(occ_ket):
         return 0.0
-    spec = rule.spec
-    log_c2 = 2.0 * log_coefficient(spec, occ_bra)
-    powers = np.array(occ_bra, dtype=float)
-    vals = np.prod(rule.rho ** powers[None, :], axis=1)
-    return math.exp(log_c2) * float(np.dot(rule.weights, vals))
+    log_c2 = 2.0 * log_coefficient(rule.spec, occ_bra)
+    return math.exp(log_c2) * _radial_moment(rule, np.array(occ_bra, dtype=float))
 
 
 def orthonormality_gram(rule: QuadratureRule, basis: FockBasis) -> np.ndarray:
-    """Gram matrix of the monomial states under the quadrature measure."""
-    dim = basis.dim
-    gram = np.zeros((dim, dim))
-    for i, occ in enumerate(basis.states):
-        gram[i, i] = monomial_moment(rule, occ, occ)
-    return gram
+    """Gram matrix of the monomial states under the quadrature measure.
+
+    Distinct monomials are orthogonal by their angular integrals, so the
+    matrix is diagonal.
+    """
+    radial = np.array([_radial_moment(rule, occ) for occ in basis.occupations])
+    return np.diag(np.exp(2.0 * basis.log_coefficients) * radial)
 
 
 def _angular_grid(r: int, n_angular: int) -> np.ndarray:
@@ -572,39 +575,37 @@ def differential_realization_check(
         raise InvalidSpec(f"n_cap {n_cap} exceeds the basis cap {spec.total_cap}")
     if ladders is None:
         ladders = ladder_matrices(basis)
-    log_c = {occ: log_coefficient(spec, occ) for occ in basis.states}
+    occ = basis.occupations
+    coeffs = np.exp(basis.log_coefficients)
+    kept = basis.grades <= n_cap
+    kept_cols = np.flatnonzero(kept)
     lower_res = 0.0
     raise_res = 0.0
-    for col, occ in enumerate(basis.states):
-        n_tot = sum(occ)
-        if n_tot > n_cap:
-            continue
-        c_n = math.exp(log_c[occ])
-        for i in range(spec.r):
-            # d/dz_i : C_n z^n -> C_n n_i z^(n - e_i)
-            expected = np.zeros(basis.dim)
-            if occ[i] > 0:
-                lower = list(occ)
-                lower[i] -= 1
-                lower = tuple(lower)
-                expected[basis.state_index(lower)] = (
-                    c_n * occ[i] / math.exp(log_c[lower])
-                )
-            column = ladders.minus[i].matrix[:, col].toarray().ravel().real
-            lower_res = max(lower_res, float(np.max(np.abs(column - expected))))
+    for i in range(spec.r):
+        # d/dz_i : C_n z^n -> C_n n_i z^(n - e_i)
+        cols = np.flatnonzero(kept & (occ[:, i] > 0))
+        lowered = occ[cols].copy()
+        lowered[:, i] -= 1
+        rows = basis.state_indices(lowered)
+        expected = coeffs[cols] * occ[cols, i] / coeffs[rows]
+        target = sparse.csr_matrix((expected, (rows, cols)), shape=(basis.dim, basis.dim))
+        lower_res = max(lower_res, _max_real_deviation(ladders.minus[i].matrix, target, kept_cols))
 
-            # raising operator: C_n z^n -> C_n (k - (1-s)/2 + s n_tot) z^(n + e_i)
-            expected = np.zeros(basis.dim)
-            upper = list(occ)
-            upper[i] += 1
-            upper = tuple(upper)
-            if sum(upper) <= spec.total_cap:
-                factor = spec.k - (1 - spec.s) / 2.0 + spec.s * n_tot
-                expected[basis.state_index(upper)] = (
-                    c_n * factor / math.exp(log_c[upper])
-                )
-            column = ladders.plus[i].matrix[:, col].toarray().ravel().real
-            raise_res = max(raise_res, float(np.max(np.abs(column - expected))))
+        # raising operator: C_n z^n -> C_n (k - (1-s)/2 + s n_tot) z^(n + e_i)
+        cols = np.flatnonzero(kept & (basis.grades < spec.total_cap))
+        raised = occ[cols].copy()
+        raised[:, i] += 1
+        rows = basis.state_indices(raised)
+        factor = spec.k - (1 - spec.s) / 2.0 + spec.s * basis.grades[cols]
+        expected = coeffs[cols] * factor / coeffs[rows]
+        target = sparse.csr_matrix((expected, (rows, cols)), shape=(basis.dim, basis.dim))
+        raise_res = max(raise_res, _max_real_deviation(ladders.plus[i].matrix, target, kept_cols))
     return DifferentialCheckReport(
         n_cap=n_cap, lower_residual=lower_res, raise_residual=raise_res
     )
+
+
+def _max_real_deviation(matrix, target, columns) -> float:
+    """Largest entry of |Re(matrix) - target| in the given columns."""
+    diff = (matrix.real - target)[:, columns]
+    return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0

@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +28,7 @@ import numpy as np
 from . import algebra, bargmann, droplet, edge, starprod
 from .errors import (
     ArstatError,
+    CapError,
     ConfigError,
     FitError,
     InvalidSpec,
@@ -91,7 +91,6 @@ class RunConfig:
     out_dir: Path
     formats: tuple[str, ...]
     seed: int
-    threads: int
     config_hash: str
 
     def get(self, section: str, key: str, cast, required: bool = True, default=None):
@@ -104,6 +103,12 @@ class RunConfig:
         if default is not None or not required:
             return default
         raise ConfigError(f"missing required field [{section}] {key}")
+
+    def get_count(self, section: str, key: str, minimum: int) -> int:
+        value = self.get(section, key, int)
+        if value < minimum:
+            raise ConfigError(f"[{section}] {key} = {value} must be at least {minimum}")
+        return value
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -161,15 +166,12 @@ def load_config(args) -> RunConfig:
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {fmt!r}")
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
     return RunConfig(
         command=args.command,
         parser=parser,
         out_dir=Path(out_dir),
         formats=formats,
         seed=args.seed,
-        threads=args.threads,
         config_hash=digest,
     )
 
@@ -181,10 +183,7 @@ def statistics_spec(cfg: RunConfig) -> algebra.StatisticsSpec:
     n_max = cfg.get("statistics", "n_max", int, required=False)
     if s == +1 and n_max is None:
         raise ConfigError("missing required field [statistics] n_max (bosonic family)")
-    try:
-        return algebra.StatisticsSpec(r=r, s=s, k=k, n_max=n_max)
-    except InvalidSpec as exc:
-        raise ConfigError(str(exc)) from None
+    return algebra.StatisticsSpec(r=r, s=s, k=k, n_max=n_max)
 
 
 def hamiltonian_spec(cfg: RunConfig, r: int) -> algebra.HamiltonianSpec:
@@ -292,9 +291,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     def check_spectrum():
         h = algebra.hamiltonian(basis, hspec).toarray()
         eigs = np.sort(np.linalg.eigvalsh(h))
-        expected = np.sort(
-            [hspec.e0 + sum(e * n for e, n in zip(hspec.e, occ)) for occ in basis.states]
-        )
+        expected = np.sort(algebra.occupation_energies(basis, hspec))
         return Check("spectrum_vs_occupations", float(np.max(np.abs(eigs - expected))), tol("spectrum"))
 
     def check_dimension():
@@ -306,7 +303,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     def check_gram():
         rule = bargmann.build_quadrature(spec, n_radial=48)
-        keep = [i for i, occ in enumerate(basis.states) if sum(occ) <= min(4, spec.total_cap)]
+        keep = np.flatnonzero(basis.grades <= min(4, spec.total_cap))
         gram = bargmann.orthonormality_gram(rule, basis)[np.ix_(keep, keep)]
         return Check(
             "quadrature_orthonormality", float(np.max(np.abs(gram - np.eye(len(keep))))), tol("gram")
@@ -346,11 +343,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         check_overlap,
     ]
     start = time.perf_counter()
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            checks = list(pool.map(lambda fn: fn(), tasks))
-    else:
-        checks = [fn() for fn in tasks]
+    checks = [fn() for fn in tasks]
     elapsed = time.perf_counter() - start
     print(f"verify: {len(checks)} checks in {elapsed:.2f}s")
     return emit_checks(cfg, "verify_report", checks)
@@ -362,17 +355,16 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     basis = algebra.enumerate_basis(spec)
     h = algebra.hamiltonian(basis, hspec).toarray()
     eigs = np.sort(np.linalg.eigvalsh(h))
-    expected = np.sort(
-        [hspec.e0 + sum(e * n for e, n in zip(hspec.e, occ)) for occ in basis.states]
-    )
+    energies = algebra.occupation_energies(basis, hspec)
+    expected = np.sort(energies)
     deviation = float(np.max(np.abs(eigs - expected))) if basis.dim else 0.0
     tol = cfg.get("tolerances", "spectrum", float)
 
     header = [f"n_{i + 1}" for i in range(spec.r)] + ["energy"]
-    rows = []
-    for occ in basis.states:
-        energy = hspec.e0 + sum(e * n for e, n in zip(hspec.e, occ))
-        rows.append([str(n) for n in occ] + [energy])
+    rows = [
+        [str(n) for n in occ] + [energy]
+        for occ, energy in zip(basis.occupations.tolist(), energies.tolist())
+    ]
     write_csv(cfg, "spectrum", header, rows)
 
     payload = {
@@ -394,7 +386,7 @@ def cmd_husimi(cfg: RunConfig) -> int:
     cap = cfg.get("droplet", "N", int, required=False)
     if cap is None:
         raise ConfigError("missing required field [droplet] N")
-    n_points = cfg.get("droplet", "points", int)
+    n_points = cfg.get_count("droplet", "points", 1)
     dspec = droplet.DropletSpec(spec, N=cap)
 
     mu_hi = 2.0 * cap if cap > 0 else 4.0
@@ -455,6 +447,8 @@ def cmd_star_convergence(cfg: RunConfig) -> int:
     k_values = _parse_float_list(cfg.get("sweep", "k_values", str))
     if len(k_values) < 3:
         raise ConfigError("[sweep] k_values needs at least 3 entries")
+    if not all(math.isfinite(k) for k in k_values):
+        raise ConfigError(f"[sweep] k_values must be finite, got {k_values}")
     pair_name = cfg.get("sweep", "pair", str)
     pair = starprod.standard_pair(pair_name)
     sweep_n_max = cfg.get("sweep", "n_max", int)
@@ -551,9 +545,12 @@ def cmd_edge_sim(cfg: RunConfig) -> int:
         drift_scale=0.5 if corrupted else 1.0,
     )
 
-    n_theta = cfg.get("edge", "n_theta", int)
-    n_time = cfg.get("edge", "n_time", int)
+    n_theta = cfg.get_count("edge", "n_theta", 1)
+    # the action's time derivative needs a uniform grid of two or more samples
+    n_time = cfg.get_count("edge", "n_time", 2)
     periods = cfg.get("edge", "periods", float)
+    if not (math.isfinite(periods) and periods > 0.0):
+        raise ConfigError(f"[edge] periods = {periods} must be finite and positive")
     window = 2.0 * math.pi * periods
     times = np.arange(n_time) * (window / n_time)
     axes = [np.arange(n_theta) * (2.0 * math.pi / n_theta)] * r
@@ -634,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or ./arstat_out)")
     parser.add_argument("--format", default="csv,json", help="comma list of csv,json")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for check suites")
     parser.add_argument("--seed", type=int, default=0, help="seed for random test points")
     parser.add_argument(
         "--set",
@@ -650,8 +646,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, SizeError, TruncationError) as exc:
-        # an undersized truncation cannot certify its tails: fix the config
+    except (ConfigError, InvalidSpec, CapError, SizeError, TruncationError) as exc:
+        # every library object is built from the configuration, so an input
+        # the library rejects is a configuration error; so is an undersized
+        # truncation, which cannot certify its tails
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArstatError as exc:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import gammaln
 
-from .algebra import FockBasis, HamiltonianSpec, OperatorMatrix, StatisticsSpec
+from .algebra import FockBasis, HamiltonianSpec, OperatorMatrix, StatisticsSpec, _integral
 from .bargmann import coherent_vector
 from .errors import CapError, DomainError, InvalidSpec
 
@@ -59,8 +59,10 @@ class DropletSpec:
     box: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.N < 0 or int(self.N) != self.N:
+        N = _integral(self.N, "droplet cap N", CapError)
+        if N < 0:
             raise CapError(f"droplet cap must be a non-negative integer, got {self.N}")
+        object.__setattr__(self, "N", N)
         if self.N > self.spec.total_cap:
             raise CapError(
                 f"droplet cap N={self.N} exceeds the representation cap {self.spec.total_cap}"
@@ -75,14 +77,10 @@ def density_operator(dspec: DropletSpec, basis: FockBasis) -> OperatorMatrix:
     if basis.spec != dspec.spec:
         raise InvalidSpec("basis belongs to a different statistics spec")
     if dspec.box is None:
-        diag = (basis.grades() <= dspec.N).astype(complex)
+        inside = basis.grades <= dspec.N
     else:
-        diag = np.array(
-            [
-                1.0 + 0.0j if all(n <= b for n, b in zip(occ, dspec.box)) else 0.0j
-                for occ in basis.states
-            ]
-        )
+        inside = np.all(basis.occupations <= np.array(dspec.box), axis=1)
+    diag = inside.astype(complex)
     return OperatorMatrix(sparse.diags(diag).tocsr(), basis, hermitian=True)
 
 

@@ -42,6 +42,34 @@ def test_spec_rejects_bad_parameters():
         StatisticsSpec(r=2, s=2, k=3)
 
 
+def test_spec_normalizes_integral_fields():
+    spec = StatisticsSpec(r=2.0, s=-1.0, k=5)
+    assert (spec.r, spec.s) == (2, -1)
+    assert type(spec.r) is int and type(spec.s) is int
+    assert enumerate_basis(spec).dim == fermionic_dimension(2, 5)
+    bosonic = StatisticsSpec(r=np.int64(1), s=+1, k=3.5, n_max=6.0)
+    assert bosonic.n_max == 6 and type(bosonic.n_max) is int
+    assert ladder_matrices(enumerate_basis(bosonic)).minus[0].matrix.shape == (7, 7)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(r=2.5, s=-1, k=5),
+    dict(r="2", s=-1, k=5),
+    dict(r=1, s=+1, k=3.5, n_max=6.5),
+    dict(r=1, s=+1, k=3.5, n_max=float("inf")),
+])
+def test_spec_rejects_non_integral_fields(fields):
+    with pytest.raises(InvalidSpec):
+        StatisticsSpec(**fields)
+
+
+@pytest.mark.parametrize("s", [-1, +1])
+@pytest.mark.parametrize("k", [float("inf"), float("nan"), "4"])
+def test_spec_rejects_non_finite_label(s, k):
+    with pytest.raises(InvalidSpec):
+        StatisticsSpec(r=1, s=s, k=k, n_max=6 if s == +1 else None)
+
+
 # ---------------------------------------------------------- enumeration
 
 def test_enumeration_matches_worked_example():
@@ -185,7 +213,7 @@ def test_grading_block_structure():
     spec = StatisticsSpec(r=2, s=-1, k=4)
     basis = enumerate_basis(spec)
     ops = ladder_matrices(basis)
-    grades = basis.grades()
+    grades = basis.grades
     for i in range(spec.r):
         rows, cols = ops.plus[i].matrix.nonzero()
         assert (grades[rows] == grades[cols] + 1).all()

@@ -248,3 +248,59 @@ def test_csv_only_format(tmp_path):
     assert not (tmp_path / "spectrum.json").exists()
     bad = run_cli("spectrum", "--out", str(tmp_path), "--format", "yaml")
     assert bad.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "command,overrides",
+    [
+        ("edge-sim", ["edge.n_theta=0"]),
+        ("edge-sim", ["edge.n_time=1"]),
+        ("edge-sim", ["edge.periods=0"]),
+        ("husimi", ["droplet.N=2", "droplet.points=0"]),
+        ("husimi", ["droplet.N=9"]),
+        ("verify", ["statistics.k=inf"]),
+        ("star-convergence", ["sweep.k_values=20, 40, nan"]),
+        ("star-convergence", ["sweep.k_values=1, 20, 40"]),
+        ("star-convergence", ["sweep.pair=nope"]),
+        ("verify", ["hamiltonian.e=nan, 1.0"]),
+        ("edge-sim", ["edge.algebra_level=0"]),
+    ],
+)
+def test_config_shaped_values_exit_two(tmp_path, command, overrides):
+    args = [item for override in overrides for item in ("--set", override)]
+    result = run_cli(command, "--out", str(tmp_path), *args)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.strip().splitlines()) == 1
+
+
+def test_threads_option_is_gone(tmp_path):
+    result = run_cli("verify", "--out", str(tmp_path), "--threads", "2")
+    assert result.returncode == 2
+    assert "--threads" in result.stderr
+
+
+# Recorded from the per-state coefficient code before FockBasis cached its arrays.
+STAR_GOLDEN = [
+    (6.0, 1.255132834397741e-05, 0.037192064988853163),
+    (8.0, 6.8611488770542808e-06, 0.020330939316909411),
+    (10.0, 4.3042964009681189e-06, 0.012754480450109761),
+]
+
+
+def test_star_convergence_golden_values(tmp_path):
+    result = run_cli(
+        "star-convergence",
+        "--out", str(tmp_path),
+        "--set", "sweep.r=2",
+        "--set", "sweep.k_values=6, 8, 10",
+        "--set", "sweep.points=0.3+0.1j, -0.2+0.25j",
+    )
+    assert result.returncode == 0, result.stderr
+    lines = (tmp_path / "star_convergence.csv").read_text().splitlines()
+    assert lines[0] == "k,err_star_first_order,err_moyal_bracket"
+    rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+    assert len(rows) == len(STAR_GOLDEN)
+    for row, golden in zip(rows, STAR_GOLDEN):
+        assert row == pytest.approx(golden, rel=1e-12, abs=0.0)

@@ -66,6 +66,16 @@ def test_cap_error():
         DropletSpec(spec, N=-1)
 
 
+def test_droplet_cap_normalized_to_int():
+    spec = StatisticsSpec(r=1, s=+1, k=20.0, n_max=40)
+    dspec = DropletSpec(spec, N=5.0)
+    assert dspec.N == 5 and type(dspec.N) is int
+    assert husimi(dspec, [0.1]) == pytest.approx(husimi(DropletSpec(spec, N=5), [0.1]), abs=0.0)
+    for bad in (2.5, float("inf"), float("nan"), "5"):
+        with pytest.raises(CapError):
+            DropletSpec(spec, N=bad)
+
+
 # ------------------------------------------------------------------- husimi
 
 def test_husimi_at_origin_is_one():
