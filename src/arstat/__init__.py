@@ -9,7 +9,6 @@ from .algebra import (
     FockBasis,
     HamiltonianSpec,
     LadderOperators,
-    OperatorMatrix,
     RelationReport,
     StatisticsSpec,
     enumerate_basis,

@@ -589,7 +589,7 @@ def differential_realization_check(
         rows = basis.state_indices(lowered)
         expected = coeffs[cols] * occ[cols, i] / coeffs[rows]
         target = sparse.csr_matrix((expected, (rows, cols)), shape=(basis.dim, basis.dim))
-        lower_res = max(lower_res, _max_real_deviation(ladders.minus[i].matrix, target, kept_cols))
+        lower_res = max(lower_res, _max_real_deviation(ladders.minus[i], target, kept_cols))
 
         # raising operator: C_n z^n -> C_n (k - (1-s)/2 + s n_tot) z^(n + e_i)
         cols = np.flatnonzero(kept & (basis.grades < spec.total_cap))
@@ -599,7 +599,7 @@ def differential_realization_check(
         factor = spec.k - (1 - spec.s) / 2.0 + spec.s * basis.grades[cols]
         expected = coeffs[cols] * factor / coeffs[rows]
         target = sparse.csr_matrix((expected, (rows, cols)), shape=(basis.dim, basis.dim))
-        raise_res = max(raise_res, _max_real_deviation(ladders.plus[i].matrix, target, kept_cols))
+        raise_res = max(raise_res, _max_real_deviation(ladders.plus[i], target, kept_cols))
     return DifferentialCheckReport(
         n_cap=n_cap, lower_residual=lower_res, raise_residual=raise_res
     )

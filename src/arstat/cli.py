@@ -81,6 +81,10 @@ DEFAULT_CONFIG = {
 
 SLOPE_BAND = (-2.3, -1.7)
 
+# verify and spectrum diagonalize a dense Hamiltonian: 4096 states are
+# 256 MiB of complex entries
+DENSE_DIM_LIMIT = 4096
+
 
 # ------------------------------------------------------------ configuration
 
@@ -186,6 +190,23 @@ def statistics_spec(cfg: RunConfig) -> algebra.StatisticsSpec:
     return algebra.StatisticsSpec(r=r, s=s, k=k, n_max=n_max)
 
 
+def closed_form_dimension(spec: algebra.StatisticsSpec) -> int:
+    if spec.s == -1:
+        return algebra.fermionic_dimension(spec.r, int(spec.k))
+    return math.comb(spec.n_max + spec.r, spec.r)
+
+
+def dense_statistics_spec(cfg: RunConfig) -> algebra.StatisticsSpec:
+    """The configured family, refused before any work if a dense matrix on it is too large."""
+    spec = statistics_spec(cfg)
+    dim = closed_form_dimension(spec)
+    if dim > DENSE_DIM_LIMIT:
+        raise SizeError(
+            f"basis dimension {dim} exceeds the dense limit of {DENSE_DIM_LIMIT} states"
+        )
+    return spec
+
+
 def hamiltonian_spec(cfg: RunConfig, r: int) -> algebra.HamiltonianSpec:
     e0 = cfg.get("hamiltonian", "e0", float, default=0.0)
     raw = cfg.get("hamiltonian", "e", str, required=False)
@@ -262,9 +283,9 @@ def emit_checks(cfg: RunConfig, name: str, checks: list[Check], extra: dict | No
 # ---------------------------------------------------------------- commands
 
 def cmd_verify(cfg: RunConfig) -> int:
-    spec = statistics_spec(cfg)
+    spec = dense_statistics_spec(cfg)
     tol = lambda key: cfg.get("tolerances", key, float)
-    n_points = cfg.get("verify", "n_points", int)
+    n_points = cfg.get_count("verify", "n_points", 1)
     basis = algebra.enumerate_basis(spec)
     ladders = algebra.ladder_matrices(basis)
     hspec = hamiltonian_spec(cfg, spec.r)
@@ -282,10 +303,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         return Check("triple_relations", report.max_residual, tol("triple"))
 
     def check_hermiticity():
-        worst = max(
-            float(np.max(np.abs(ladders.plus[i].toarray() - ladders.minus[i].toarray().conj().T)))
-            for i in range(spec.r)
-        )
+        diffs = [ladders.plus[i] - ladders.minus[i].conj().T for i in range(spec.r)]
+        worst = max(float(np.max(np.abs(d.data), initial=0.0)) for d in diffs)
         return Check("ladder_hermiticity", worst, tol("hermiticity"))
 
     def check_spectrum():
@@ -295,10 +314,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         return Check("spectrum_vs_occupations", float(np.max(np.abs(eigs - expected))), tol("spectrum"))
 
     def check_dimension():
-        if spec.s == -1:
-            expected = algebra.fermionic_dimension(spec.r, int(spec.k))
-        else:
-            expected = math.comb(spec.n_max + spec.r, spec.r)
+        expected = closed_form_dimension(spec)
         return Check("dimension_closed_form", float(abs(basis.dim - expected)), 0.0)
 
     def check_gram():
@@ -350,7 +366,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    spec = statistics_spec(cfg)
+    spec = dense_statistics_spec(cfg)
     hspec = hamiltonian_spec(cfg, spec.r)
     basis = algebra.enumerate_basis(spec)
     h = algebra.hamiltonian(basis, hspec).toarray()
@@ -375,7 +391,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "exact_match": deviation <= tol,
     }
     if spec.s == -1:
-        payload["closed_form_dimension"] = algebra.fermionic_dimension(spec.r, int(spec.k))
+        payload["closed_form_dimension"] = closed_form_dimension(spec)
     write_json(cfg, "spectrum", payload)
     print(f"spectrum: {basis.dim} levels, max deviation {deviation:.3e}")
     return 0 if deviation <= tol else 1

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import gammaln
 
-from .algebra import FockBasis, HamiltonianSpec, OperatorMatrix, StatisticsSpec, _integral
+from .algebra import FockBasis, HamiltonianSpec, StatisticsSpec, _integral
 from .bargmann import coherent_vector
 from .errors import CapError, DomainError, InvalidSpec
 
@@ -72,7 +72,7 @@ class DropletSpec:
                 raise CapError(f"bad box caps {self.box}")
 
 
-def density_operator(dspec: DropletSpec, basis: FockBasis) -> OperatorMatrix:
+def density_operator(dspec: DropletSpec, basis: FockBasis) -> sparse.csr_matrix:
     """Diagonal projector onto the droplet states; idempotent, trace = count."""
     if basis.spec != dspec.spec:
         raise InvalidSpec("basis belongs to a different statistics spec")
@@ -81,7 +81,7 @@ def density_operator(dspec: DropletSpec, basis: FockBasis) -> OperatorMatrix:
     else:
         inside = np.all(basis.occupations <= np.array(dspec.box), axis=1)
     diag = inside.astype(complex)
-    return OperatorMatrix(sparse.diags(diag).tocsr(), basis, hermitian=True)
+    return sparse.diags(diag).tocsr()
 
 
 def _require_total_cap(dspec: DropletSpec):
@@ -143,7 +143,7 @@ def husimi_from_matrix(dspec: DropletSpec, basis: FockBasis, z) -> float:
     vector with the projector matrix.  Works for box droplets too."""
     rho0 = density_operator(dspec, basis)
     vec = coherent_vector(dspec.spec, basis, z)
-    value = np.vdot(vec.amplitudes, rho0.matrix @ vec.amplitudes).real
+    value = np.vdot(vec.amplitudes, rho0 @ vec.amplitudes).real
     return float(value)
 
 

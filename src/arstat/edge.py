@@ -72,6 +72,11 @@ class EdgeField:
             raise InvalidSpec(f"amplitudes must have shape (r, M), got {amps.shape}")
         if len(self.winding) != r or len(self.zero_mode) != r:
             raise InvalidSpec("winding and zero_mode must have one entry per component")
+        data = {"velocities": self.velocities, "winding": self.winding,
+                "zero_mode": self.zero_mode, "amplitudes": amps}
+        for name, values in data.items():
+            if not np.all(np.isfinite(values)):
+                raise InvalidSpec(f"{name} must be finite")
         object.__setattr__(self, "amplitudes", amps)
 
     @property

@@ -42,7 +42,7 @@ class GridError(ArstatError, ValueError):
 
 
 class SizeError(ArstatError):
-    """A tensor-product mode space exceeds the configured budget."""
+    """A state space exceeds its size budget."""
 
 
 class ConfigError(ArstatError):

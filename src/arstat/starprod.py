@@ -54,28 +54,15 @@ __all__ = [
 ]
 
 
-def _coerce(op):
-    """Matrix payload of an OperatorMatrix, sparse matrix or ndarray.
-
-    Sparse inputs stay sparse, so large bases never densify.
-    """
-    from .algebra import OperatorMatrix
-
-    if isinstance(op, OperatorMatrix):
-        return op.matrix
-    return op
-
-
 def symbol_of(op, basis: FockBasis, z) -> complex:
     """Normalized coherent-state expectation <z|A|z> of an operator."""
     vec = coherent_vector(basis.spec, basis, z)
-    mat = _coerce(op)
-    return complex(np.vdot(vec.amplitudes, mat @ vec.amplitudes))
+    return complex(np.vdot(vec.amplitudes, op @ vec.amplitudes))
 
 
 def star_exact(a, b, basis: FockBasis, z) -> complex:
     """Exact star product: the symbol of the operator product."""
-    return symbol_of(_coerce(a) @ _coerce(b), basis, z)
+    return symbol_of(a @ b, basis, z)
 
 
 def star_quadrature(a, b, basis: FockBasis, z, rule: QuadratureRule, n_angular: int = 33) -> complex:
@@ -87,9 +74,8 @@ def star_quadrature(a, b, basis: FockBasis, z, rule: QuadratureRule, n_angular: 
     """
     spec = basis.spec
     vec = coherent_vector(spec, basis, z)
-    a_mat, b_mat = _coerce(a), _coerce(b)
-    left_row = np.asarray(vec.amplitudes.conj() @ a_mat).ravel()   # <z|A|n'>
-    right_col = np.asarray(b_mat @ vec.amplitudes).ravel()         # <n'|B|z>
+    left_row = np.asarray(vec.amplitudes.conj() @ a).ravel()   # <z|A|n'>
+    right_col = np.asarray(b @ vec.amplitudes).ravel()         # <n'|B|z>
 
     def integrand(zs):
         amps = coherent_amplitude_matrix(spec, basis, zs)
@@ -119,11 +105,9 @@ class Symbol:
 
     @classmethod
     def from_operator(cls, op, basis: FockBasis, step: float = 1e-5) -> "Symbol":
-        mat = _coerce(op)
-
         def fn(z):
             vec = coherent_vector(basis.spec, basis, z)
-            return complex(np.vdot(vec.amplitudes, mat @ vec.amplitudes))
+            return complex(np.vdot(vec.amplitudes, op @ vec.amplitudes))
 
         return cls(fn=fn, step=step)
 
@@ -269,7 +253,7 @@ def convergence_study(
         spec = build_spec(k)
         basis = enumerate_basis(spec)
         ladders = ladder_matrices(basis)
-        a, b = (_coerce(op) for op in build_pair(basis, ladders))
+        a, b = build_pair(basis, ladders)
         sym_a = Symbol.from_operator(a, basis, step=step)
         sym_b = Symbol.from_operator(b, basis, step=step)
         worst_star = 0.0
@@ -298,23 +282,23 @@ def convergence_study(
 
 def _pair_raise_sq_lower_sq(basis, ladders):
     kappa = basis.spec.kappa
-    up = ladders.plus[0].matrix
-    dn = ladders.minus[0].matrix
+    up = ladders.plus[0]
+    dn = ladders.minus[0]
     return (up @ up) / kappa**2, (dn @ dn) / kappa**2
 
 
 def _pair_number_sq_lower_sq(basis, ladders):
     kappa = basis.spec.kappa
-    n = number_operator(basis, 0).matrix
-    dn = ladders.minus[0].matrix
+    n = number_operator(basis, 0)
+    dn = ladders.minus[0]
     return (n @ n) / kappa**2, (dn @ dn) / kappa**2
 
 
 def _pair_number_raise_sq_lower_sq(basis, ladders):
     kappa = basis.spec.kappa
-    n = number_operator(basis, 0).matrix
-    up = ladders.plus[0].matrix
-    dn = ladders.minus[0].matrix
+    n = number_operator(basis, 0)
+    up = ladders.plus[0]
+    dn = ladders.minus[0]
     return (n @ up @ up) / kappa**3, (dn @ dn) / kappa**2
 
 
@@ -323,8 +307,8 @@ def _pair_commuting_numbers(basis, ladders):
         raise InvalidSpec("the commuting-number pair needs r >= 2")
     kappa = basis.spec.kappa
     return (
-        number_operator(basis, 0).matrix / kappa,
-        number_operator(basis, 1).matrix / kappa,
+        number_operator(basis, 0) / kappa,
+        number_operator(basis, 1) / kappa,
     )
 
 

@@ -2,12 +2,14 @@
 
 Everything here is deliberately written by a different route than the
 library code it checks: brute-force enumeration, log-space series with
-Kahan compensation, raw Dirichlet/Beta integrals via scipy.
+Kahan compensation, raw Dirichlet/Beta integrals via scipy, dense
+singular-value 2-norms.
 """
 
 import itertools
 import math
 
+import numpy as np
 from scipy.special import gammaln
 
 
@@ -91,3 +93,50 @@ def negative_binomial_cdf(k, rho, n):
     ]
     peak = max(log_terms)
     return min(1.0, math.exp(peak) * kahan_sum(math.exp(t - peak) for t in log_terms))
+
+
+def _dense_comm(a, b):
+    return a @ b - b @ a
+
+
+def dense_triple_residual_norm(ladders, interior_cap):
+    """Largest exact 2-norm over the triple-relation and mutual-commutator
+    residuals, dense, with columns restricted to total occupancy <= interior_cap."""
+    spec = ladders.basis.spec
+    s, r = spec.s, spec.r
+    am = [op.toarray() for op in ladders.minus]
+    ap = [op.toarray() for op in ladders.plus]
+    keep = np.array([sum(occ) <= interior_cap for occ in ladders.basis.states])
+    residuals = []
+    for i in range(r):
+        for j in range(r):
+            inner = _dense_comm(ap[i], am[j])
+            for k in range(r):
+                residuals.append(_dense_comm(inner, ap[k]) + s * (j == k) * ap[i] + s * (i == j) * ap[k])
+                residuals.append(_dense_comm(inner, am[k]) - s * (i == k) * am[j] - s * (i == j) * am[k])
+            residuals.append(_dense_comm(am[i], am[j]))
+            residuals.append(_dense_comm(ap[i], ap[j]))
+    return max(float(np.linalg.norm(res[:, keep], 2)) for res in residuals)
+
+
+def dense_commutator_deviation(ladders, k, n_cap):
+    """max_ij ||P([a_i^-, a_j^+] - k d_ij)P||_2 / k by a dense SVD.
+
+    On total occupancy <= n_cap both products only pass through states of
+    total occupancy <= n_cap + 1, a leading block of the graded basis, so
+    the ladders are cut to that block before they are densified.
+    """
+    r = ladders.basis.spec.r
+    grades = [sum(occ) for occ in ladders.basis.states]
+    reach = sum(g <= n_cap + 1 for g in grades)
+    keep = sum(g <= n_cap for g in grades)
+    worst = 0.0
+    for i in range(r):
+        for j in range(r):
+            am = ladders.minus[i][:reach, :reach].toarray()
+            ap = ladders.plus[j][:reach, :reach].toarray()
+            comm = _dense_comm(am, ap)[:keep, :keep]
+            if i == j:
+                comm -= k * np.eye(keep)
+            worst = max(worst, float(np.linalg.norm(comm, 2)))
+    return worst / k

@@ -22,7 +22,13 @@ from arstat.algebra import (
 )
 from arstat.errors import InvalidSpec, ModeOutOfRange
 
-from oracles import brute_force_states, ladder_chain_coefficient
+from oracles import (
+    brute_force_states,
+    dense_commutator_deviation,
+    dense_triple_residual_norm,
+    ladder_chain_coefficient,
+)
+from test_basis_cache import _with_entry
 
 
 # ---------------------------------------------------------------- specs
@@ -49,7 +55,7 @@ def test_spec_normalizes_integral_fields():
     assert enumerate_basis(spec).dim == fermionic_dimension(2, 5)
     bosonic = StatisticsSpec(r=np.int64(1), s=+1, k=3.5, n_max=6.0)
     assert bosonic.n_max == 6 and type(bosonic.n_max) is int
-    assert ladder_matrices(enumerate_basis(bosonic)).minus[0].matrix.shape == (7, 7)
+    assert ladder_matrices(enumerate_basis(bosonic)).minus[0].shape == (7, 7)
 
 
 @pytest.mark.parametrize("fields", [
@@ -179,7 +185,7 @@ def test_annihilator_kills_vacuum():
         ops = ladder_matrices(basis)
         vac = basis.unit_vector((0,) * spec.r)
         for i in range(spec.r):
-            assert np.allclose(ops.minus[i].matrix @ vac, 0.0)
+            assert np.allclose(ops.minus[i] @ vac, 0.0)
 
 
 def test_ladder_adjointness_and_column_structure():
@@ -199,7 +205,7 @@ def test_number_product_reproduces_structure_function():
         basis = enumerate_basis(spec)
         ops = ladder_matrices(basis)
         for i in range(spec.r):
-            prod = (ops.minus[i].matrix @ ops.plus[i].matrix).toarray()
+            prod = (ops.minus[i] @ ops.plus[i]).toarray()
             for idx, occ in enumerate(basis.states):
                 if sum(occ) >= spec.total_cap:
                     continue  # raise leaves the retained set for s=+1
@@ -215,7 +221,7 @@ def test_grading_block_structure():
     ops = ladder_matrices(basis)
     grades = basis.grades
     for i in range(spec.r):
-        rows, cols = ops.plus[i].matrix.nonzero()
+        rows, cols = ops.plus[i].nonzero()
         assert (grades[rows] == grades[cols] + 1).all()
 
 
@@ -246,6 +252,68 @@ def test_triple_relations_hold_on_interior(spec):
     assert report.triple_raise.max_abs < 1e-12
     assert report.triple_lower.max_abs < 1e-12
     assert report.mutual_commute.max_abs < 1e-12
+
+
+def _scaled(ladders, which, mode, row_occ, col_occ, factor):
+    basis = ladders.basis
+    row, col = basis.state_index(row_occ), basis.state_index(col_occ)
+    value = getattr(ladders, which)[mode][row, col].real * factor
+    return _with_entry(ladders, which, mode, row, col, value)
+
+
+@pytest.mark.parametrize(
+    "spec,which,mode,row_occ,col_occ",
+    [
+        (StatisticsSpec(r=2, s=-1, k=5), "minus", 0, (0, 1), (1, 1)),
+        (StatisticsSpec(r=2, s=-1, k=5), "plus", 1, (1, 3), (1, 2)),
+        (StatisticsSpec(r=1, s=-1, k=6), "minus", 0, (4,), (5,)),
+        (StatisticsSpec(r=2, s=+1, k=3.0, n_max=5), "plus", 0, (2, 1), (1, 1)),
+        # entries reaching the top layer still act on interior columns
+        (StatisticsSpec(r=2, s=+1, k=3.0, n_max=5), "minus", 1, (2, 2), (2, 3)),
+    ],
+)
+def test_triple_check_catches_a_one_percent_amplitude_error(spec, which, mode, row_occ, col_occ):
+    ladders = ladder_matrices(enumerate_basis(spec))
+    corrupted = _scaled(ladders, which, mode, row_occ, col_occ, 1.01)
+    report = verify_triple_relations(ladders.basis, corrupted)
+    assert report.max_residual > 1e-3
+    # the certified bound never undercuts the exact 2-norm (up to round-off)
+    exact = dense_triple_residual_norm(corrupted, report.interior_cap)
+    assert report.max_residual >= exact * (1.0 - 1e-12)
+    assert report.max_residual > 0.5 * exact
+
+
+def test_triple_check_ignores_the_truncated_top_layer():
+    # a_i^+ has no admissible raise out of the top layer, so its columns
+    # there are empty; the check restricts to total occupancy <= n_max - 2
+    # and must not see what sits in them
+    spec = StatisticsSpec(r=2, s=+1, k=3.0, n_max=5)
+    basis = enumerate_basis(spec)
+    ladders = ladder_matrices(basis)
+    stray = _with_entry(ladders, "plus", 0, basis.state_index((4, 0)), basis.state_index((5, 0)), 0.5)
+    report = verify_triple_relations(basis, stray)
+    assert report.interior_cap == 3
+    assert report.max_residual < 1e-12
+    assert dense_triple_residual_norm(stray, report.interior_cap) < 1e-12
+    # unrestricted, the same stray entry shows
+    assert dense_triple_residual_norm(stray, spec.total_cap) > 0.1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        StatisticsSpec(r=1, s=-1, k=6),
+        StatisticsSpec(r=2, s=-1, k=8),
+        StatisticsSpec(r=3, s=-1, k=8),
+        StatisticsSpec(r=3, s=+1, k=4.0, n_max=8),
+    ],
+)
+def test_triple_bound_covers_the_exact_norm(spec):
+    # exact-arithmetic residuals: bound and exact 2-norm agree to round-off
+    report = verify_triple_relations(enumerate_basis(spec))
+    exact = dense_triple_residual_norm(ladder_matrices(enumerate_basis(spec)), report.interior_cap)
+    assert report.max_residual >= exact * (1.0 - 1e-12)
+    assert report.max_residual <= 2.0 * exact + 1e-15
 
 
 @pytest.mark.parametrize("s", [-1, +1])
@@ -349,7 +417,7 @@ def test_vacuum_commutator_eigenvalue(s):
     basis = enumerate_basis(spec)
     ops = ladder_matrices(basis)
     vac = basis.unit_vector((0, 0))
-    comm = ops.minus[0].matrix @ ops.plus[0].matrix - ops.plus[0].matrix @ ops.minus[0].matrix
+    comm = ops.minus[0] @ ops.plus[0] - ops.plus[0] @ ops.minus[0]
     value = np.vdot(vac, comm @ vac).real
     assert value == pytest.approx(spec.k if s == +1 else spec.k - 1)
 
@@ -360,8 +428,7 @@ def test_diagonal_commutator_identity(s):
     basis = enumerate_basis(spec)
     ops = ladder_matrices(basis)
     for i in range(spec.r):
-        comm = (ops.minus[i].matrix @ ops.plus[i].matrix
-                - ops.plus[i].matrix @ ops.minus[i].matrix).toarray()
+        comm = (ops.minus[i] @ ops.plus[i] - ops.plus[i] @ ops.minus[i]).toarray()
         for idx, occ in enumerate(basis.states):
             if sum(occ) >= spec.total_cap:
                 continue
@@ -382,6 +449,18 @@ def test_deviation_monotone_and_bounded_bosonic():
     assert all(a > b for a, b in zip(devs, devs[1:]))
     for k, d in rows:
         assert d <= 4.0 / k + 1e-12
+
+
+@pytest.mark.parametrize(
+    "r,s,k_values",
+    [(2, -1, [10, 100]), (2, +1, [25, 50, 100, 200]), (1, +1, [50, 100, 200])],
+)
+def test_deviation_matches_dense_oracle(r, s, k_values):
+    for k in k_values:
+        spec = StatisticsSpec(r=r, s=s, k=k, n_max=4 if s == +1 else None)
+        ladders = ladder_matrices(enumerate_basis(spec))
+        expected = dense_commutator_deviation(ladders, spec.k, n_cap=2)
+        assert commutator_deviation(spec, 2, ladders) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_deviation_requires_room_above_cap():

@@ -416,7 +416,7 @@ def test_differential_check_vacuum_lowering_is_zero():
     ladders = ladder_matrices(basis)
     vac_col = basis.state_index((0, 0))
     for i in range(spec.r):
-        assert ladders.minus[i].matrix[:, vac_col].nnz == 0
+        assert ladders.minus[i][:, vac_col].nnz == 0
 
 
 def test_differential_check_single_raise_entry():
@@ -429,6 +429,6 @@ def test_differential_check_single_raise_entry():
     c2 = coefficient(spec, (2,))
     factor = spec.k - 1.0 - 1.0
     pulled_back = c1 * factor / c2
-    entry = ladders.plus[0].matrix[basis.state_index((2,)), basis.state_index((1,))]
+    entry = ladders.plus[0][basis.state_index((2,)), basis.state_index((1,))]
     assert entry.real == pytest.approx(pulled_back, rel=1e-12)
     assert entry.real == pytest.approx(math.sqrt(2.0), rel=1e-12)

@@ -6,7 +6,7 @@ from scipy import sparse
 
 import arstat.algebra
 import arstat.bargmann
-from arstat.algebra import LadderOperators, OperatorMatrix, StatisticsSpec, enumerate_basis, ladder_matrices
+from arstat.algebra import LadderOperators, StatisticsSpec, enumerate_basis, ladder_matrices
 from arstat.bargmann import coherent_vector, differential_realization_check, log_coefficient
 
 CACHE_SPECS = [
@@ -86,9 +86,9 @@ def test_coherent_vector_builds_coefficients_once_per_basis(monkeypatch):
 
 def _with_entry(ladders: LadderOperators, which: str, mode: int, row: int, col: int, value: float):
     ops = list(getattr(ladders, which))
-    bumped = ops[mode].matrix.tolil()
+    bumped = ops[mode].tolil()
     bumped[row, col] = value
-    ops[mode] = OperatorMatrix(sparse.csr_matrix(bumped), ladders.basis)
+    ops[mode] = sparse.csr_matrix(bumped)
     return LadderOperators(
         basis=ladders.basis,
         minus=tuple(ops) if which == "minus" else ladders.minus,
@@ -101,7 +101,7 @@ def test_differential_check_catches_a_wrong_amplitude():
     basis = enumerate_basis(spec)
     ladders = ladder_matrices(basis)
     row, col = basis.state_index((0, 1)), basis.state_index((1, 1))
-    wrong = ladders.minus[0].matrix[row, col].real * 1.01
+    wrong = ladders.minus[0][row, col].real * 1.01
     report = differential_realization_check(spec, basis, 4, _with_entry(ladders, "minus", 0, row, col, wrong))
     assert report.lower_residual > 1e-3
     assert report.raise_residual < 1e-12

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,9 @@ def test_csv_only_format(tmp_path):
         ("star-convergence", ["sweep.pair=nope"]),
         ("verify", ["hamiltonian.e=nan, 1.0"]),
         ("edge-sim", ["edge.algebra_level=0"]),
+        ("verify", ["verify.n_points=0"]),
+        ("edge-sim", ["edge.amplitudes=inf"]),
+        ("edge-sim", ["edge.velocities=nan"]),
     ],
 )
 def test_config_shaped_values_exit_two(tmp_path, command, overrides):
@@ -273,6 +277,18 @@ def test_config_shaped_values_exit_two(tmp_path, command, overrides):
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
     assert len(result.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_dense_commands_refuse_a_large_basis(tmp_path, command):
+    # r=40, k=4 has 12,341 states: a 2.4 GB dense Hamiltonian
+    start = time.perf_counter()
+    result = run_cli(command, "--out", str(tmp_path), "--set", "statistics.r=40")
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ") and "12341" in result.stderr
+    assert elapsed < 10.0
+    assert not any(tmp_path.iterdir())
 
 
 def test_threads_option_is_gone(tmp_path):

@@ -234,7 +234,7 @@ def test_potential_symbol_matches_matrix_quadratic_form():
     for _ in range(6):
         z = 0.7 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
         vec = coherent_vector(spec, basis, z)
-        matrix_value = np.vdot(vec.amplitudes, h.matrix @ vec.amplitudes).real
+        matrix_value = np.vdot(vec.amplitudes, h @ vec.amplitudes).real
         assert potential_symbol(spec, hspec, z).exact == pytest.approx(matrix_value, abs=1e-10)
 
 
@@ -245,7 +245,7 @@ def test_potential_symbol_bosonic_matrix_path_within_tail():
     h = hamiltonian(basis, hspec)
     z = [0.45 + 0.2j]
     vec = coherent_vector(spec, basis, z)
-    matrix_value = np.vdot(vec.amplitudes, h.matrix @ vec.amplitudes).real
+    matrix_value = np.vdot(vec.amplitudes, h @ vec.amplitudes).real
     assert potential_symbol(spec, hspec, z).exact == pytest.approx(matrix_value, abs=1e-8)
 
 

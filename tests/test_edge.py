@@ -270,3 +270,15 @@ def test_size_budget_enforced():
         build_mode_algebra(r=1, n_modes=0, level=4)
     with pytest.raises(InvalidSpec):
         build_mode_algebra(r=1, n_modes=1, level=2)
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("amplitudes", np.array([[np.inf]])), ("velocities", (np.nan,)),
+     ("winding", (np.inf,)), ("zero_mode", (-np.inf,))],
+)
+def test_edge_field_rejects_non_finite_data(name, value):
+    data = dict(velocities=(1.0,), winding=(0.0,), zero_mode=(0.0,), amplitudes=np.array([[0.5]]))
+    data[name] = value
+    with pytest.raises(InvalidSpec, match=name):
+        EdgeField(**data)

@@ -170,7 +170,7 @@ def test_moyal_self_bracket_vanishes():
     spec = StatisticsSpec(r=1, s=-1, k=8)
     basis = enumerate_basis(spec)
     ladders = ladder_matrices(basis)
-    a = (ladders.plus[0].matrix @ ladders.plus[0].matrix).toarray() / spec.kappa**2
+    a = (ladders.plus[0] @ ladders.plus[0]).toarray() / spec.kappa**2
     sym = Symbol.from_operator(a, basis)
     assert abs(moyal_bracket(sym, sym, spec, [0.3])) < 1e-12
 
@@ -179,8 +179,8 @@ def test_moyal_antisymmetry():
     spec = StatisticsSpec(r=1, s=-1, k=8)
     basis = enumerate_basis(spec)
     ladders = ladder_matrices(basis)
-    a = (ladders.plus[0].matrix @ ladders.plus[0].matrix).toarray() / spec.kappa**2
-    b = (ladders.minus[0].matrix @ ladders.minus[0].matrix).toarray() / spec.kappa**2
+    a = (ladders.plus[0] @ ladders.plus[0]).toarray() / spec.kappa**2
+    b = (ladders.minus[0] @ ladders.minus[0]).toarray() / spec.kappa**2
     sym_a, sym_b = Symbol.from_operator(a, basis), Symbol.from_operator(b, basis)
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -194,8 +194,8 @@ def test_moyal_tracks_commutator_symbol():
     spec = StatisticsSpec(r=1, s=-1, k=120)
     basis = enumerate_basis(spec)
     ladders = ladder_matrices(basis)
-    a = (ladders.plus[0].matrix @ ladders.plus[0].matrix).toarray() / spec.kappa**2
-    b = (ladders.minus[0].matrix @ ladders.minus[0].matrix).toarray() / spec.kappa**2
+    a = (ladders.plus[0] @ ladders.plus[0]).toarray() / spec.kappa**2
+    b = (ladders.minus[0] @ ladders.minus[0]).toarray() / spec.kappa**2
     sym_a, sym_b = Symbol.from_operator(a, basis), Symbol.from_operator(b, basis)
     z = [0.35]
     comm = symbol_of(a @ b - b @ a, basis, z)
