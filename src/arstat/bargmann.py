@@ -119,15 +119,42 @@ def bosonic_tail_bound(spec: StatisticsSpec, rho: float, n_max: int) -> float:
 class CoherentVector:
     """Coherent state expanded over a FockBasis.
 
-    ``normalization`` is the closed-form constant N; ``tail_bound`` the
+    ``log_normalization`` is ln N of the closed-form constant N (kept as a
+    logarithm: N overflows a float at large k); ``tail_bound`` the
     certified weight lost to the bosonic truncation (0 for s = -1, where
     the expansion is a finite sum and the norm is exactly 1).
     """
 
     point: np.ndarray
     amplitudes: np.ndarray
-    normalization: float
+    log_normalization: float
     tail_bound: float
+
+
+def _log_normalization(spec: StatisticsSpec, rho):
+    return -_overlap_power(spec) * np.log1p(-spec.s * rho)
+
+
+def _normalized_amplitudes(spec: StatisticsSpec, basis: FockBasis, zs: np.ndarray) -> np.ndarray:
+    """N^-1 C_n z^n for each point (row) of zs, shape (npoints, dim).
+
+    Summed in log space, since C_n, N and z^n each overflow at large k
+    while the amplitudes stay at most 1.  A vacant mode z_i = 0 adds
+    nothing to the logarithm (0 log 0 = 0), and every state occupying it
+    has amplitude exactly 0.
+    """
+    modulus = np.abs(zs)
+    vacant = modulus == 0.0
+    log_modulus = np.log(np.where(vacant, 1.0, modulus))
+    occ = basis.occupations.T
+    log_amp = (
+        basis.log_coefficients
+        + log_modulus @ occ
+        - _log_normalization(spec, np.sum(modulus**2, axis=1))[:, None]
+    )
+    amps = np.exp(log_amp + 1j * (np.angle(zs) @ occ))
+    amps[vacant @ (occ > 0)] = 0.0
+    return amps
 
 
 def coherent_vector(
@@ -144,14 +171,10 @@ def coherent_vector(
                 f"truncation tail {tail:.3e} above {tail_tol:.1e} at |z|^2 = {rho:.4f}; "
                 "raise n_max"
             )
-    coeffs = np.exp(basis.log_coefficients)
-    monomials = np.prod(z[None, :] ** basis.occupations, axis=1)
-    log_n = -_overlap_power(spec) * math.log1p(-spec.s * rho)
-    normalization = math.exp(log_n)
     return CoherentVector(
         point=z,
-        amplitudes=coeffs * monomials / normalization,
-        normalization=normalization,
+        amplitudes=_normalized_amplitudes(spec, basis, z[None, :])[0],
+        log_normalization=float(_log_normalization(spec, rho)),
         tail_bound=tail,
     )
 
@@ -162,12 +185,7 @@ def coherent_amplitude_matrix(spec: StatisticsSpec, basis: FockBasis, zs: np.nda
     Quadrature-grade path: no per-point tail certification, callers on the
     bosonic family are expected to have sized n_max for their largest rho.
     """
-    zs = np.asarray(zs, dtype=complex)
-    coeffs = np.exp(basis.log_coefficients)
-    monomials = np.prod(zs[:, None, :] ** basis.occupations[None, :, :], axis=2)
-    rho = np.sum(np.abs(zs) ** 2, axis=1)
-    inv_norm = np.exp(_overlap_power(spec) * np.log1p(-spec.s * rho))
-    return coeffs[None, :] * monomials * inv_norm[:, None]
+    return _normalized_amplitudes(spec, basis, np.asarray(zs, dtype=complex))
 
 
 # ------------------------------------------------- overlap, distance, metric

@@ -30,7 +30,6 @@ from .errors import (
     ArstatError,
     CapError,
     ConfigError,
-    FitError,
     InvalidSpec,
     SizeError,
     TruncationError,
@@ -43,13 +42,11 @@ DEFAULT_CONFIG = {
     "hamiltonian": {"e0": "0.0"},
     "droplet": {"points": "101"},
     "sweep": {
-        "k_values": "20, 40, 80, 160",
+        "k_values": "20, 40, 80, 160, 320, 640, 1280",
         "pair": "raise_sq_lower_sq",
         "r": "1",
         "s": "-1",
         "n_max": "60",
-        # errors below this are finite-difference round-off, not remainders
-        "error_floor": "1e-10",
     },
     "edge": {
         "velocities": "1.0",
@@ -487,14 +484,7 @@ def cmd_star_convergence(cfg: RunConfig) -> int:
             return algebra.StatisticsSpec(r=r, s=-1, k=int(k))
         return algebra.StatisticsSpec(r=r, s=+1, k=float(k), n_max=sweep_n_max)
 
-    error_floor = cfg.get("sweep", "error_floor", float)
-    try:
-        study = starprod.convergence_study(
-            k_values, build_spec, pair, points, error_floor=error_floor
-        )
-    except FitError as exc:
-        print(f"star-convergence: {exc}", file=sys.stderr)
-        return 1
+    study = starprod.convergence_study(k_values, build_spec, pair, points)
 
     write_csv(
         cfg,

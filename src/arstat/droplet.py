@@ -2,10 +2,11 @@
 
 The droplet is the projector onto every Fock state with total occupancy
 <= N.  Its coherent-state expectation depends on z only through
-rho = z.zbar and equals an exact cumulative distribution:
+rho = z.zbar and equals an exact cumulative distribution, evaluated and
+inverted as a regularized incomplete beta function I_x(a, b):
 
-    bosonic   P( NegBin(k, 1 - rho) <= N )
-    fermionic P( Binomial(k - 1, rho/(1 + rho)) <= N )
+    bosonic   P( NegBin(k, 1 - rho) <= N )           = I_{1-rho}(k, N+1)
+    fermionic P( Binomial(k - 1, rho/(1 + rho)) <= N ) = I_{1/(1+rho)}(k-1-N, N+1)
 
 Both have mean occupancy mu(rho) = kappa * rho / (1 - s rho), so the
 profile drops from 1 to 0 across mu = N with width ~ sqrt(N); in the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.special import gammaln
+from scipy.special import betainc, betaincinv
 
 from .algebra import FockBasis, HamiltonianSpec, StatisticsSpec, _integral
 from .bargmann import coherent_vector
@@ -99,43 +100,30 @@ def _rho_of(spec: StatisticsSpec, z) -> float:
     return rho
 
 
-def _husimi_radial(dspec: DropletSpec, rho: float) -> float:
-    """Exact droplet symbol at z.zbar = rho, as a log-space Kahan sum."""
-    spec = dspec.spec
-    if rho == 0.0:
-        return 1.0
-    k, s, N = spec.k, spec.s, dspec.N
-    if s == +1:
-        log_pref = k * math.log1p(-rho)
-        log_terms = [
-            log_pref + gammaln(k + n) - gammaln(k) - gammaln(n + 1) + n * math.log(rho)
-            for n in range(N + 1)
-        ]
-    else:
-        log_pref = -(k - 1.0) * math.log1p(rho)
-        log_terms = [
-            log_pref + gammaln(k) - gammaln(k - n) - gammaln(n + 1) + n * math.log(rho)
-            for n in range(N + 1)
-        ]
-    peak = max(log_terms)
-    total = 0.0
-    comp = 0.0
-    for t in log_terms:
-        y = math.exp(t - peak) - comp
-        new = total + y
-        comp = (new - total) - y
-        total = new
-    return min(1.0, math.exp(peak) * total)
+def _profile(dspec: DropletSpec, rho):
+    """Exact droplet symbol at z.zbar = rho, elementwise over an array.
+
+    The distribution functions above are regularized incomplete beta
+    functions (DLMF 8.17): bosonic I_{1-rho}(k, N+1), fermionic
+    I_{1-p}(k-1-N, N+1) with 1 - p = 1/(1+rho), which is 1 everywhere
+    when the cap admits every state (N = k-1).
+    """
+    spec, N = dspec.spec, dspec.N
+    if spec.s == +1:
+        return betainc(spec.k, N + 1, 1.0 - rho)
+    if N >= spec.k - 1:
+        return np.ones_like(rho)
+    return betainc(spec.k - 1 - N, N + 1, 1.0 / (1.0 + rho))
 
 
 def husimi(dspec: DropletSpec, z) -> float:
     """Coherent-state expectation of the droplet projector at z.
 
     In [0, 1]; for the total-cap droplet it depends on z only through
-    rho = z.zbar (the closed-form series above).
+    rho = z.zbar (the incomplete beta function above).
     """
     _require_total_cap(dspec)
-    return _husimi_radial(dspec, _rho_of(dspec.spec, z))
+    return float(_profile(dspec, _rho_of(dspec.spec, z)))
 
 
 def husimi_from_matrix(dspec: DropletSpec, basis: FockBasis, z) -> float:
@@ -184,34 +172,26 @@ def droplet_profile(dspec: DropletSpec, rho_grid) -> DropletProfile:
     rho_grid = np.asarray(rho_grid, dtype=float)
     if np.any(rho_grid < 0) or (spec.s == +1 and np.any(rho_grid >= 1.0)):
         raise DomainError("radial grid leaves the family domain")
-    values = np.array([_husimi_radial(dspec, rho) for rho in rho_grid])
-    mean = np.array([mean_occupation(spec, rho) for rho in rho_grid])
     return DropletProfile(
-        rho=rho_grid, value=values, mean_occ=mean,
+        rho=rho_grid,
+        value=_profile(dspec, rho_grid),
+        mean_occ=mean_occupation(spec, rho_grid),
         k=spec.k, N=dspec.N, s=spec.s, r=spec.r,
     )
 
 
-def crossing_rho(dspec: DropletSpec, level: float, tol: float = 1e-12) -> float:
-    """Radius where the profile crosses ``level``, by bisection."""
+def crossing_rho(dspec: DropletSpec, level: float) -> float:
+    """Radius where the profile crosses ``level``: the inverse incomplete beta."""
     _require_total_cap(dspec)
-    spec = dspec.spec
+    spec, N = dspec.spec, dspec.N
     if not 0.0 < level < 1.0:
         raise InvalidSpec("level must lie strictly between 0 and 1")
-    lo = 0.0
     if spec.s == +1:
-        hi = 1.0 - 1e-12
-    else:
-        hi = rho_from_mean_occupation(spec, min(spec.kappa - 1e-9, 4.0 * dspec.N + 8.0))
-    if _husimi_radial(dspec, hi) > level:
-        raise InvalidSpec("profile does not fall below the level inside the domain")
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if _husimi_radial(dspec, mid) > level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        return float(1.0 - betaincinv(spec.k, N + 1, level))
+    if N >= spec.k - 1:
+        raise InvalidSpec("a droplet holding every state has profile 1 everywhere and crosses no level")
+    x = betaincinv(spec.k - 1 - N, N + 1, level)  # x = 1/(1 + rho)
+    return float((1.0 - x) / x)
 
 
 def transition_width(dspec: DropletSpec, hi_level: float = 0.9, lo_level: float = 0.1):
@@ -257,16 +237,16 @@ def step_profile_check(dspec: DropletSpec) -> StepCheck:
             f"step diagnostics need N well below the saturation scale k; "
             f"got N={N} with k={spec.k}"
         )
-    vals = [
-        _husimi_radial(dspec, rho_from_mean_occupation(spec, mu))
-        for mu in (N / 2.0, N - 0.5, 1.5 * N)
-    ]
+    vals = _profile(
+        dspec,
+        np.array([rho_from_mean_occupation(spec, mu) for mu in (N / 2.0, N - 0.5, 1.5 * N)]),
+    )
     rho_half = crossing_rho(dspec, 0.5)
     width_rho, width_mu = transition_width(dspec)
     return StepCheck(
-        value_inside=vals[0],
-        value_mid=vals[1],
-        value_outside=vals[2],
+        value_inside=float(vals[0]),
+        value_mid=float(vals[1]),
+        value_outside=float(vals[2]),
         crossing_mu=mean_occupation(spec, rho_half),
         width_mu=width_mu,
         width_rho=width_rho,

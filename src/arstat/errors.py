@@ -29,14 +29,6 @@ class CapError(ArstatError, ValueError):
     """A droplet occupancy cap violates the representation bounds."""
 
 
-class StepError(ArstatError):
-    """Finite-difference noise swamps the quantity being estimated."""
-
-
-class FitError(ArstatError):
-    """A convergence fit was requested but the data cannot support one."""
-
-
 class GridError(ArstatError, ValueError):
     """A sampled field grid is not uniform."""
 

@@ -3,7 +3,7 @@
 Everything here is deliberately written by a different route than the
 library code it checks: brute-force enumeration, log-space series with
 Kahan compensation, raw Dirichlet/Beta integrals via scipy, dense
-singular-value 2-norms.
+singular-value 2-norms, central-difference derivatives.
 """
 
 import itertools
@@ -45,6 +45,25 @@ def ladder_chain_coefficient(s, k, occ):
             f = 0.5 * partial[i] * (2 * k - (1 + s) + 2 * s * total)
             log_amp += 0.5 * math.log(f)
     return math.exp(log_raise - log_amp)
+
+
+def fd_gradients(fn, z, h=1e-5):
+    """dA/dz_i and dA/dzbar_i of a phase-space function by central differences.
+
+    From the real and imaginary partials: d/dz = (d/dx - i d/dy)/2 and
+    d/dzbar = (d/dx + i d/dy)/2.
+    """
+    z = np.asarray(z, dtype=complex)
+    dz = np.zeros(z.shape[0], dtype=complex)
+    dzbar = np.zeros(z.shape[0], dtype=complex)
+    for i in range(z.shape[0]):
+        e = np.zeros(z.shape[0], dtype=complex)
+        e[i] = h
+        fx = (fn(z + e) - fn(z - e)) / (2.0 * h)
+        fy = (fn(z + 1j * e) - fn(z - 1j * e)) / (2.0 * h)
+        dz[i] = 0.5 * (fx - 1j * fy)
+        dzbar[i] = 0.5 * (fx + 1j * fy)
+    return dz, dzbar
 
 
 def kahan_sum(terms):

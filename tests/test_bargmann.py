@@ -87,6 +87,31 @@ def test_fermionic_coherent_vector_is_exactly_normalized():
         assert vec.tail_bound == 0.0
 
 
+def test_coherent_vector_past_coefficient_overflow():
+    # C_n reaches e^887, and the normalization passes e^709 once |z|^2 > 0.74
+    spec = StatisticsSpec(r=1, s=-1, k=2560)
+    basis = enumerate_basis(spec)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        z = rng.normal(size=1) + 1j * rng.normal(size=1)
+        vec = coherent_vector(spec, basis, z)
+        assert np.all(np.isfinite(vec.amplitudes))
+        assert np.linalg.norm(vec.amplitudes) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_coherent_vector_with_a_vacant_mode():
+    # z_1 = 0 contributes z_1^0 = 1 and empties every state occupying mode 1
+    spec = StatisticsSpec(r=2, s=-1, k=6)
+    basis = enumerate_basis(spec)
+    z = np.array([0.0, 0.4 - 0.3j])
+    vec = coherent_vector(spec, basis, z)
+    occupied = basis.occupations[:, 0] > 0
+    assert np.all(vec.amplitudes[occupied] == 0.0)
+    raw = np.array([coefficient(spec, occ) * z[1] ** occ[1] for occ in basis.states])
+    raw[occupied] = 0.0
+    np.testing.assert_allclose(vec.amplitudes, raw / np.linalg.norm(raw), rtol=1e-13)
+
+
 def test_bosonic_norm_within_certified_tail():
     spec = StatisticsSpec(r=2, s=+1, k=2.5, n_max=30)
     basis = enumerate_basis(spec)

@@ -80,7 +80,7 @@ def test_coherent_vector_builds_coefficients_once_per_basis(monkeypatch):
     expected = np.array([
         np.exp(scalar(spec, occ)) * np.prod(first.point ** np.array(occ))
         for occ in basis.states
-    ]) / first.normalization
+    ]) / np.exp(first.log_normalization)
     np.testing.assert_allclose(first.amplitudes, expected, rtol=1e-13)
 
 

@@ -4,6 +4,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
@@ -297,8 +298,16 @@ def test_threads_option_is_gone(tmp_path):
     assert "--threads" in result.stderr
 
 
-# Recorded from the per-state coefficient code before FockBasis cached its arrays.
+# Recorded with exact symbol gradients.
 STAR_GOLDEN = [
+    (6.0, 1.2551328285903204e-05, 0.0371920649858591),
+    (8.0, 6.8611488443339266e-06, 0.020330939314427334),
+    (10.0, 4.3042963943484142e-06, 0.012754480447825466),
+]
+
+# The same run with central-difference gradients (step 1e-5), which the
+# exact gradients replaced; FD noise put them within 5e-9 of the exact values.
+STAR_FD_GOLDEN = [
     (6.0, 1.255132834397741e-05, 0.037192064988853163),
     (8.0, 6.8611488770542808e-06, 0.020330939316909411),
     (10.0, 4.3042964009681189e-06, 0.012754480450109761),
@@ -318,5 +327,48 @@ def test_star_convergence_golden_values(tmp_path):
     assert lines[0] == "k,err_star_first_order,err_moyal_bracket"
     rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
     assert len(rows) == len(STAR_GOLDEN)
-    for row, golden in zip(rows, STAR_GOLDEN):
+    for row, golden, fd_golden in zip(rows, STAR_GOLDEN, STAR_FD_GOLDEN):
         assert row == pytest.approx(golden, rel=1e-12, abs=0.0)
+        assert row == pytest.approx(fd_golden, rel=1e-8, abs=0.0)
+
+
+def _star_run(tmp_path, *overrides):
+    args = [item for override in overrides for item in ("--set", override)]
+    result = run_cli("star-convergence", "--out", str(tmp_path), *args)
+    assert result.returncode == 0, result.stderr
+    lines = (tmp_path / "star_convergence.csv").read_text().splitlines()[1:]
+    rows = [[float(x) for x in line.split(",")] for line in lines]
+    meta = json.loads((tmp_path / "star_convergence.json").read_text())
+    return rows, meta
+
+
+def test_star_convergence_default_sweep_reaches_k_1280(tmp_path):
+    rows, meta = _star_run(tmp_path)
+    assert [row[0] for row in rows] == [20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1280.0]
+    for label in ("star_fit", "bracket_fit"):
+        assert meta[label]["degenerate"] is False
+        assert meta[label]["points_used"] == 7
+        assert -2.3 <= float(meta[label]["slope"]) <= -1.7
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [["sweep.pair=identity"], ["sweep.pair=commuting_numbers", "sweep.r=2"]],
+)
+def test_star_convergence_controls_degenerate_on_default_sweep(tmp_path, overrides):
+    rows, meta = _star_run(tmp_path, *overrides)
+    assert len(rows) == 7
+    assert meta["star_fit"] == {"degenerate": True}
+    assert meta["bracket_fit"] == {"degenerate": True}
+
+
+@pytest.mark.parametrize("points", [["sweep.points=0.3"], []])
+def test_star_convergence_past_coefficient_overflow(tmp_path, points):
+    # C_n and the coherent normalization overflow a float from k ~ 2050
+    rows, meta = _star_run(tmp_path, "sweep.k_values=640, 1280, 2560", *points)
+    assert [row[0] for row in rows] == [640.0, 1280.0, 2560.0]
+    errors = np.array([row[1:] for row in rows])
+    assert np.all(np.isfinite(errors)) and np.all(errors > 0.0)
+    for label in ("star_fit", "bracket_fit"):
+        assert meta[label]["degenerate"] is False
+        assert -2.3 <= float(meta[label]["slope"]) <= -1.7

@@ -210,6 +210,41 @@ def test_crossing_level_validation():
     assert husimi(d, [math.sqrt(rho_half)]) == pytest.approx(0.5, abs=1e-6)
 
 
+def test_profile_matches_kahan_series_at_large_cap():
+    d = DropletSpec(StatisticsSpec(r=1, s=+1, k=1000.0, n_max=2000), N=2000)
+    mu = np.linspace(0.0, 4000.0, 101)
+    rho = np.array([rho_from_mean_occupation(d.spec, m) for m in mu])
+    expected = [negative_binomial_cdf(1000.0, x, 2000) for x in rho]
+    np.testing.assert_allclose(droplet_profile(d, rho).value, expected, rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "spec,N",
+    [
+        (StatisticsSpec(r=1, s=+1, k=200.0, n_max=400), 100),
+        (StatisticsSpec(r=1, s=+1, k=1000.0, n_max=2000), 2000),
+        (StatisticsSpec(r=1, s=-1, k=400), 100),
+        (StatisticsSpec(r=2, s=-1, k=40), 38),
+    ],
+)
+@pytest.mark.parametrize("level", [1e-3, 0.1, 0.5, 0.9, 0.999])
+def test_crossing_inverts_the_profile(spec, N, level):
+    d = DropletSpec(spec, N=N)
+    rho = crossing_rho(d, level)
+    z = np.zeros(spec.r)
+    z[0] = math.sqrt(rho)
+    assert husimi(d, z) == pytest.approx(level, abs=1e-12)
+
+
+def test_full_fermionic_droplet_has_no_crossing():
+    spec = StatisticsSpec(r=1, s=-1, k=12)
+    d = DropletSpec(spec, N=spec.total_cap)
+    prof = droplet_profile(d, np.linspace(0.0, 50.0, 11))
+    assert np.all(prof.value == 1.0)
+    with pytest.raises(InvalidSpec):
+        crossing_rho(d, 0.5)
+
+
 def test_profile_rejects_box_droplet():
     spec = StatisticsSpec(r=2, s=-1, k=5)
     with pytest.raises(InvalidSpec):
