@@ -25,7 +25,7 @@ spec = StatisticsSpec(r=2, s=-1, k=3)
 basis = enumerate_basis(spec)
 print(f"family (r={spec.r}, s={spec.s}, k={spec.k})")
 print(f"  {basis.dim} states (closed form {fermionic_dimension(spec.r, int(spec.k))}):")
-print(f"  {list(basis.states)}")
+print(f"  {basis.occupations.tolist()}")
 
 # the structure function controls every ladder amplitude; it vanishes at
 # the exclusion boundary, so raising chains terminate with exactly zero

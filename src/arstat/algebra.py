@@ -18,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -44,6 +44,7 @@ __all__ = [
     "commutator_deviation",
     "large_k_commutator_deviation",
     "fermionic_dimension",
+    "basis_dimension",
 ]
 
 
@@ -116,25 +117,32 @@ class StatisticsSpec:
         return (2.0 * self.k + self.s - 1.0) / 2.0
 
 
-def is_admissible(spec: StatisticsSpec, occ: Sequence[int]) -> bool:
-    if len(occ) != spec.r or any(n < 0 for n in occ):
-        return False
-    return sum(occ) <= spec.total_cap
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # leading mode descending, so (2,0) precedes (1,1) precedes (0,2)
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def fermionic_dimension(r: int, k: int) -> int:
     """Closed-form state count (k-1+r)! / ((k-1)! r!) of the s=-1 family."""
     return math.comb(k - 1 + r, r)
+
+
+def basis_dimension(spec: StatisticsSpec) -> int:
+    """Stars-and-bars count C(cap + r, r) of occupations with total <= cap.
+
+    cap is k - 1 for s = -1 (so this is ``fermionic_dimension``) and n_max
+    for s = +1.
+    """
+    return math.comb(spec.total_cap + spec.r, spec.r)
+
+
+def _count_below(cap: int, r: int) -> np.ndarray:
+    """Exact table T[m, p], m = 0..cap: occupations of p modes with total < m.
+
+    T[m, p] = C(m - 1 + p, p) for m > 0 and T[0, p] = 0, by the Pascal
+    recursion T[m, p] = sum_{t < m} T[t + 1, p - 1] in int64.  Every entry
+    is at most the basis dimension, so none overflows.
+    """
+    table = np.zeros((cap + 1, r + 1), dtype=np.int64)
+    table[1:, 0] = 1
+    for p in range(1, r + 1):
+        table[1:, p] = np.cumsum(table[1:, p - 1])
+    return table
 
 
 @dataclass(frozen=True)
@@ -143,29 +151,46 @@ class FockBasis:
 
     States are graded by total occupancy; within a grade the leading mode
     descends, matching the enumeration used throughout the worked examples.
-    ``occupations``, ``grades`` and ``log_coefficients`` are read-only arrays
-    in basis order, computed once per basis on first use.
+    ``occupations`` is the one representation of the states, a read-only
+    (dim, r) array in basis order; ``grades`` and ``log_coefficients`` are
+    read-only arrays computed from it once per basis on first use.  A
+    state's position is a closed-form rank (``state_indices``).
     """
 
     spec: StatisticsSpec
-    states: tuple[tuple[int, ...], ...]
-    index: dict = field(repr=False, hash=False, compare=False)
+    occupations: np.ndarray = field(repr=False, hash=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return self.occupations.shape[0]
 
     def state_index(self, occ: Sequence[int]) -> int:
-        return self.index[tuple(occ)]
+        return int(self.state_indices(np.array([occ]))[0])
 
     def state_indices(self, occupations: np.ndarray) -> np.ndarray:
-        """Basis positions of the rows of an (n, r) occupation array."""
-        return np.array([self.index[occ] for occ in map(tuple, occupations.tolist())], dtype=int)
+        """Basis positions of the rows of an (n, r) occupation array.
 
-    @cached_property
-    def occupations(self) -> np.ndarray:
-        """Occupation numbers, shape (dim, r)."""
-        return _read_only(np.array(self.states, dtype=int).reshape(self.dim, self.spec.r))
+        A row n of grade g = |n| sits after the C(g - 1 + r, r) states of
+        lower grade and, within its grade, after the C(R_j - 1 + p_j, p_j)
+        states that agree with it on modes 0..j-1 and exceed it on mode j,
+        where R_j = g - (n_0 + ... + n_j) and p_j = r - 1 - j (the
+        combinatorial number system, Knuth TAOCP 4A, 7.2.1.3).  Rows
+        outside the basis raise ``InvalidSpec``.
+        """
+        occ = np.asarray(occupations)
+        spec = self.spec
+        if occ.ndim != 2 or occ.shape[1] != spec.r:
+            raise InvalidSpec(f"occupation rows must have {spec.r} entries, got shape {occ.shape}")
+        if np.any(occ < 0):
+            raise InvalidSpec("occupations must be non-negative")
+        grade = occ.sum(axis=1)
+        if np.any(grade > spec.total_cap):
+            raise InvalidSpec(f"occupation total exceeds the basis cap {spec.total_cap}")
+        count_below = _count_below(spec.total_cap, spec.r)
+        # R_j for j = 0..r-2, each counted among the remaining p_j = r-1-j modes
+        remaining = grade[:, np.newaxis] - np.cumsum(occ[:, :-1], axis=1)
+        within = count_below[remaining, np.arange(spec.r - 1, 0, -1)].sum(axis=1)
+        return count_below[grade, spec.r] + within
 
     @cached_property
     def grades(self) -> np.ndarray:
@@ -205,16 +230,23 @@ class FockBasis:
 def enumerate_basis(spec: StatisticsSpec) -> FockBasis:
     """List every admissible occupation vector exactly once.
 
-    For s = -1 the count equals the closed-form dimension
-    (k-1+r)!/((k-1)! r!); for s = +1 it is the stars-and-bars count of
-    occupations with total <= n_max.
+    The rows with total <= cap are built mode by mode: each partial row of
+    total t is repeated once for every value 0..cap-t of the next mode.
+    One sort then puts them in basis order, by grade and then by each mode
+    descending.  The count is ``basis_dimension(spec)``.
     """
-    states = []
-    for total in range(spec.total_cap + 1):
-        states.extend(_compositions(total, spec.r))
-    states = tuple(states)
-    index = {occ: i for i, occ in enumerate(states)}
-    return FockBasis(spec=spec, states=states, index=index)
+    cap = spec.total_cap
+    rows = np.zeros((1, 0), dtype=int)
+    totals = np.zeros(1, dtype=int)
+    for _ in range(spec.r):
+        counts = cap - totals + 1
+        parent = np.repeat(np.arange(len(totals)), counts)
+        value = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack((rows[parent], value))
+        totals = totals[parent] + value
+    # np.lexsort sorts on its last key first: grade, then -n_0, -n_1, ...
+    order = np.lexsort(np.vstack((-rows.T[::-1], totals)))
+    return FockBasis(spec=spec, occupations=_read_only(rows[order]))
 
 
 def structure_function(spec: StatisticsSpec, occ: Sequence[int], mode: int) -> float:

@@ -187,16 +187,10 @@ def statistics_spec(cfg: RunConfig) -> algebra.StatisticsSpec:
     return algebra.StatisticsSpec(r=r, s=s, k=k, n_max=n_max)
 
 
-def closed_form_dimension(spec: algebra.StatisticsSpec) -> int:
-    if spec.s == -1:
-        return algebra.fermionic_dimension(spec.r, int(spec.k))
-    return math.comb(spec.n_max + spec.r, spec.r)
-
-
 def dense_statistics_spec(cfg: RunConfig) -> algebra.StatisticsSpec:
     """The configured family, refused before any work if a dense matrix on it is too large."""
     spec = statistics_spec(cfg)
-    dim = closed_form_dimension(spec)
+    dim = algebra.basis_dimension(spec)
     if dim > DENSE_DIM_LIMIT:
         raise SizeError(
             f"basis dimension {dim} exceeds the dense limit of {DENSE_DIM_LIMIT} states"
@@ -311,7 +305,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         return Check("spectrum_vs_occupations", float(np.max(np.abs(eigs - expected))), tol("spectrum"))
 
     def check_dimension():
-        expected = closed_form_dimension(spec)
+        expected = algebra.basis_dimension(spec)
         return Check("dimension_closed_form", float(abs(basis.dim - expected)), 0.0)
 
     def check_gram():
@@ -388,7 +382,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "exact_match": deviation <= tol,
     }
     if spec.s == -1:
-        payload["closed_form_dimension"] = closed_form_dimension(spec)
+        payload["closed_form_dimension"] = algebra.basis_dimension(spec)
     write_json(cfg, "spectrum", payload)
     print(f"spectrum: {basis.dim} levels, max deviation {deviation:.3e}")
     return 0 if deviation <= tol else 1

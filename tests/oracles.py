@@ -125,7 +125,7 @@ def dense_triple_residual_norm(ladders, interior_cap):
     s, r = spec.s, spec.r
     am = [op.toarray() for op in ladders.minus]
     ap = [op.toarray() for op in ladders.plus]
-    keep = np.array([sum(occ) <= interior_cap for occ in ladders.basis.states])
+    keep = np.array([sum(occ) <= interior_cap for occ in ladders.basis.occupations.tolist()])
     residuals = []
     for i in range(r):
         for j in range(r):
@@ -146,7 +146,7 @@ def dense_commutator_deviation(ladders, k, n_cap):
     the ladders are cut to that block before they are densified.
     """
     r = ladders.basis.spec.r
-    grades = [sum(occ) for occ in ladders.basis.states]
+    grades = [sum(occ) for occ in ladders.basis.occupations.tolist()]
     reach = sum(g <= n_cap + 1 for g in grades)
     keep = sum(g <= n_cap for g in grades)
     worst = 0.0

@@ -82,7 +82,7 @@ def test_criterion_2_dimension_and_spectrum():
             h = hamiltonian(basis, hspec).toarray()
             eigs = np.sort(np.linalg.eigvalsh(h))
             expected = np.sort(
-                [hspec.e0 + sum(e * n for e, n in zip(hspec.e, occ)) for occ in basis.states]
+                [hspec.e0 + sum(e * n for e, n in zip(hspec.e, occ)) for occ in basis.occupations.tolist()]
             )
             worst = max(worst, float(np.max(np.abs(eigs - expected))))
     elapsed = time.perf_counter() - start
@@ -126,7 +126,7 @@ def test_criterion_3_bargmann_consistency():
                 spec = StatisticsSpec(r=r, s=s, k=float(k) if s == +1 else k,
                                       n_max=8 if s == +1 else None)
                 basis = enumerate_basis(spec)
-                keep = [i for i, occ in enumerate(basis.states)
+                keep = [i for i, occ in enumerate(basis.occupations.tolist())
                         if sum(occ) <= min(4, spec.total_cap)]
                 rule = build_quadrature(spec, n_radial=48)
                 gram = orthonormality_gram(rule, basis)[np.ix_(keep, keep)]

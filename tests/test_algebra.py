@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from arstat.algebra import (
     HamiltonianSpec,
     StatisticsSpec,
+    basis_dimension,
     commutator_deviation,
     energy_shift,
     enumerate_basis,
@@ -80,19 +81,19 @@ def test_spec_rejects_non_finite_label(s, k):
 
 def test_enumeration_matches_worked_example():
     basis = enumerate_basis(StatisticsSpec(r=2, s=-1, k=3))
-    assert basis.states == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    assert basis.occupations.tolist() == [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
     assert basis.dim == fermionic_dimension(2, 3) == math.factorial(4) // (2 * 2)
 
 
 def test_enumeration_single_mode():
     basis = enumerate_basis(StatisticsSpec(r=1, s=-1, k=2))
-    assert basis.states == ((0,), (1,))
+    assert basis.occupations.tolist() == [[0], [1]]
 
 
 def test_enumeration_bosonic_stars_and_bars():
     basis = enumerate_basis(StatisticsSpec(r=3, s=+1, k=2.5, n_max=2))
     assert basis.dim == math.comb(3 + 2, 3) == 10
-    assert set(basis.states) == brute_force_states(3, 2)
+    assert set(map(tuple, basis.occupations.tolist())) == brute_force_states(3, 2)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -100,14 +101,68 @@ def test_enumeration_bosonic_stars_and_bars():
 def test_fermionic_dimension_closed_form(r, k):
     basis = enumerate_basis(StatisticsSpec(r=r, s=-1, k=k))
     assert basis.dim == fermionic_dimension(r, k)
-    assert set(basis.states) == brute_force_states(r, k - 1)
+    assert set(map(tuple, basis.occupations.tolist())) == brute_force_states(r, k - 1)
 
 
 def test_enumeration_no_duplicates_and_deterministic():
     spec = StatisticsSpec(r=3, s=+1, k=4.0, n_max=3)
     b1, b2 = enumerate_basis(spec), enumerate_basis(spec)
-    assert b1.states == b2.states
-    assert len(set(b1.states)) == b1.dim
+    assert np.array_equal(b1.occupations, b2.occupations)
+    assert len(set(map(tuple, b1.occupations.tolist()))) == b1.dim
+
+
+@pytest.mark.parametrize("occ", [(1, 0, 0), (1,)])
+def test_state_index_rejects_a_row_of_the_wrong_width(occ):
+    basis = enumerate_basis(StatisticsSpec(r=2, s=-1, k=3))
+    with pytest.raises(InvalidSpec):
+        basis.state_index(occ)
+    with pytest.raises(InvalidSpec):
+        basis.state_indices(np.array([occ]))
+
+
+def test_state_index_rejects_a_negative_entry():
+    basis = enumerate_basis(StatisticsSpec(r=2, s=-1, k=3))
+    with pytest.raises(InvalidSpec):
+        basis.state_index((2, -1))
+    with pytest.raises(InvalidSpec):
+        basis.state_indices(np.array([[0, 0], [-1, 1]]))
+
+
+@pytest.mark.parametrize("spec", [StatisticsSpec(r=2, s=-1, k=3), StatisticsSpec(r=2, s=+1, k=2.5, n_max=2)])
+def test_state_index_rejects_a_total_above_the_cap(spec):
+    basis = enumerate_basis(spec)
+    with pytest.raises(InvalidSpec):
+        basis.state_index((3, 0))
+    with pytest.raises(InvalidSpec):
+        basis.state_indices(np.array([[0, 0], [2, 1]]))
+
+
+@st.composite
+def accepted_specs(draw):
+    r = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        return StatisticsSpec(r=r, s=-1, k=draw(st.integers(min_value=2, max_value=9)))
+    k = draw(st.floats(min_value=1.0, max_value=12.0, exclude_min=True))
+    return StatisticsSpec(r=r, s=+1, k=k, n_max=draw(st.integers(min_value=0, max_value=8)))
+
+
+@given(spec=accepted_specs())
+@settings(max_examples=60, deadline=None)
+def test_basis_rank_and_ladders_on_every_accepted_spec(spec):
+    basis = enumerate_basis(spec)
+    ladders = ladder_matrices(basis)
+    occ = basis.occupations
+    assert np.array_equal(basis.state_indices(occ), np.arange(basis.dim))
+    assert basis.dim == basis_dimension(spec)
+    if spec.s == -1:
+        assert basis_dimension(spec) == fermionic_dimension(spec.r, int(spec.k))
+    expected = sorted(
+        brute_force_states(spec.r, spec.total_cap), key=lambda n: (sum(n), [-x for x in n])
+    )
+    assert occ.tolist() == [list(n) for n in expected]
+    for i in range(spec.r):
+        occupied = int(np.count_nonzero(occ[:, i]))
+        assert ladders.minus[i].nnz == ladders.plus[i].nnz == occupied
 
 
 # ----------------------------------------------------- structure function
@@ -206,7 +261,7 @@ def test_number_product_reproduces_structure_function():
         ops = ladder_matrices(basis)
         for i in range(spec.r):
             prod = (ops.minus[i] @ ops.plus[i]).toarray()
-            for idx, occ in enumerate(basis.states):
+            for idx, occ in enumerate(basis.occupations.tolist()):
                 if sum(occ) >= spec.total_cap:
                     continue  # raise leaves the retained set for s=+1
                 target = list(occ)
@@ -392,7 +447,7 @@ def test_spectrum_matches_occupation_energies(spec):
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
     eigs = np.sort(np.linalg.eigvalsh(h))
     expected = np.sort([
-        hspec.e0 + sum(ei * ni for ei, ni in zip(hspec.e, occ)) for occ in basis.states
+        hspec.e0 + sum(ei * ni for ei, ni in zip(hspec.e, occ)) for occ in basis.occupations.tolist()
     ])
     assert np.max(np.abs(eigs - expected)) < 1e-12
 
@@ -429,7 +484,7 @@ def test_diagonal_commutator_identity(s):
     ops = ladder_matrices(basis)
     for i in range(spec.r):
         comm = (ops.minus[i] @ ops.plus[i] - ops.plus[i] @ ops.minus[i]).toarray()
-        for idx, occ in enumerate(basis.states):
+        for idx, occ in enumerate(basis.occupations.tolist()):
             if sum(occ) >= spec.total_cap:
                 continue
             expected = spec.k - (1 + s) / 2.0 + s * (sum(occ) + 1) + s * occ[i]
@@ -471,7 +526,7 @@ def test_deviation_requires_room_above_cap():
 def test_number_operator_diagonal():
     basis = enumerate_basis(StatisticsSpec(r=2, s=-1, k=4))
     n1 = number_operator(basis, 1).toarray()
-    for idx, occ in enumerate(basis.states):
+    for idx, occ in enumerate(basis.occupations.tolist()):
         assert n1[idx, idx] == occ[1]
     with pytest.raises(ModeOutOfRange):
         number_operator(basis, 5)

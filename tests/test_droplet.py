@@ -53,7 +53,7 @@ def test_density_box_variant():
     basis = enumerate_basis(spec)
     rho0 = density_operator(DropletSpec(spec, N=4, box=(1, 1)), basis).toarray()
     expected = sum(
-        1 for occ in basis.states if occ[0] <= 1 and occ[1] <= 1
+        1 for occ in basis.occupations.tolist() if occ[0] <= 1 and occ[1] <= 1
     )
     assert np.trace(rho0).real == pytest.approx(expected)
 
