@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -200,14 +201,12 @@ def dense_statistics_spec(cfg: RunConfig) -> algebra.StatisticsSpec:
 
 def hamiltonian_spec(cfg: RunConfig, r: int) -> algebra.HamiltonianSpec:
     e0 = cfg.get("hamiltonian", "e0", float, default=0.0)
-    raw = cfg.get("hamiltonian", "e", str, required=False)
-    if raw is None:
-        energies = tuple(float(i + 1) for i in range(r))
-    else:
-        energies = tuple(_parse_float_list(raw))
+    energies = cfg.get("hamiltonian", "e", _parse_float_list, required=False)
+    if energies is None:
+        energies = [float(i + 1) for i in range(r)]
     if len(energies) != r:
         raise ConfigError(f"[hamiltonian] e needs {r} entries, got {len(energies)}")
-    return algebra.HamiltonianSpec(e0=e0, e=energies)
+    return algebra.HamiltonianSpec(e0=e0, e=tuple(energies))
 
 
 # ----------------------------------------------------------------- reports
@@ -235,15 +234,19 @@ def write_json(cfg: RunConfig, name: str, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
-def write_csv(cfg: RunConfig, name: str, header: list[str], rows) -> Path | None:
+
+def csv_lines(*columns) -> list[str]:
+    """Data lines from columns of already formatted cells."""
+    return [",".join(cells) for cells in zip(*columns)]
+
+
+def write_csv(cfg: RunConfig, name: str, header: list[str], rows: list[str]) -> Path | None:
+    """Write the header and ``rows``, one comma-joined line per row."""
     if "csv" not in cfg.formats:
         return None
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{name}.csv"
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join([",".join(header), *rows]) + "\n")
     return path
 
 
@@ -368,11 +371,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     tol = cfg.get("tolerances", "spectrum", float)
 
     header = [f"n_{i + 1}" for i in range(spec.r)] + ["energy"]
-    rows = [
-        [str(n) for n in occ] + [energy]
-        for occ, energy in zip(basis.occupations.tolist(), energies.tolist())
-    ]
-    write_csv(cfg, "spectrum", header, rows)
+    occupations = (",".join(map(str, occ)) for occ in basis.occupations.tolist())
+    write_csv(cfg, "spectrum", header, csv_lines(occupations, map(fmt, energies.tolist())))
 
     payload = {
         "command": cfg.command,
@@ -402,14 +402,15 @@ def cmd_husimi(cfg: RunConfig) -> int:
     mu_grid = np.linspace(0.0, mu_hi, n_points)
     rho_grid = np.array([droplet.rho_from_mean_occupation(spec, mu) for mu in mu_grid])
     profile = droplet.droplet_profile(dspec, rho_grid)
+    family = ",".join(map(fmt, [spec.k, float(cap), float(spec.s), float(spec.r)]))
     write_csv(
         cfg,
         "husimi",
         ["rho", "mean_occupation", "value", "k", "N", "s", "r"],
-        [
-            [rho, mu, val, spec.k, float(cap), float(spec.s), float(spec.r)]
-            for rho, mu, val in zip(profile.rho, profile.mean_occ, profile.value)
-        ],
+        csv_lines(
+            *(map(fmt, column) for column in (profile.rho, profile.mean_occ, profile.value)),
+            [family] * len(profile.rho),
+        ),
     )
     payload = {
         "command": cfg.command,
@@ -451,7 +452,7 @@ def cmd_star_convergence(cfg: RunConfig) -> int:
     s = cfg.get("sweep", "s", int)
     if s not in (-1, +1):
         raise ConfigError("[sweep] s must be +1 or -1")
-    k_values = _parse_float_list(cfg.get("sweep", "k_values", str))
+    k_values = cfg.get("sweep", "k_values", _parse_float_list)
     if len(k_values) < 3:
         raise ConfigError("[sweep] k_values needs at least 3 entries")
     if not all(math.isfinite(k) for k in k_values):
@@ -460,8 +461,8 @@ def cmd_star_convergence(cfg: RunConfig) -> int:
     pair = starprod.standard_pair(pair_name)
     sweep_n_max = cfg.get("sweep", "n_max", int)
 
-    raw_points = cfg.get("sweep", "points", str, required=False)
-    if raw_points is None:
+    groups = cfg.get("sweep", "points", _parse_complex_groups, required=False)
+    if groups is None:
         rng = np.random.default_rng(cfg.seed)
         scale = 0.45 if s == -1 else 0.3 / math.sqrt(r)
         points = [
@@ -469,9 +470,9 @@ def cmd_star_convergence(cfg: RunConfig) -> int:
             for _ in range(3)
         ]
     else:
-        points = [np.array(grp) for grp in _parse_complex_groups(raw_points)]
-        if any(p.shape != (r,) for p in points):
-            raise ConfigError(f"[sweep] points must each have {r} components")
+        points = [np.array(grp) for grp in groups]
+        if not points or any(p.shape != (r,) for p in points):
+            raise ConfigError(f"[sweep] points must be one or more groups of {r} components")
 
     def build_spec(k):
         if s == -1:
@@ -484,10 +485,9 @@ def cmd_star_convergence(cfg: RunConfig) -> int:
         cfg,
         "star_convergence",
         ["k", "err_star_first_order", "err_moyal_bracket"],
-        [
-            [k, e50, e52]
-            for k, e50, e52 in zip(study.k_values, study.star_errors, study.bracket_errors)
-        ],
+        csv_lines(
+            *(map(fmt, column) for column in (study.k_values, study.star_errors, study.bracket_errors))
+        ),
     )
 
     def fit_payload(fit):
@@ -523,14 +523,15 @@ def cmd_star_convergence(cfg: RunConfig) -> int:
 
 
 def cmd_edge_sim(cfg: RunConfig) -> int:
-    velocities = _parse_float_list(cfg.get("edge", "velocities", str))
+    velocities = cfg.get("edge", "velocities", _parse_float_list)
     r = len(velocities)
-    winding = _parse_float_list(cfg.get("edge", "winding", str))
-    zero_mode = _parse_float_list(cfg.get("edge", "zero_mode", str))
-    amp_groups = _parse_complex_groups(cfg.get("edge", "amplitudes", str))
-    if len(winding) != r or len(zero_mode) != r or len(amp_groups) != r:
+    winding = cfg.get("edge", "winding", _parse_float_list)
+    zero_mode = cfg.get("edge", "zero_mode", _parse_float_list)
+    amp_groups = cfg.get("edge", "amplitudes", _parse_complex_groups)
+    if r == 0 or len(winding) != r or len(zero_mode) != r or len(amp_groups) != r:
         raise ConfigError(
-            "[edge] velocities, winding, zero_mode and amplitudes must describe the same component count"
+            "[edge] velocities, winding, zero_mode and amplitudes must describe the same "
+            "nonzero component count"
         )
     n_modes = max(len(g) for g in amp_groups)
     amps = np.zeros((r, n_modes), dtype=complex)
@@ -571,13 +572,11 @@ def cmd_edge_sim(cfg: RunConfig) -> int:
     comm_res = edge.mode_commutator_residual(mode_algebra)
 
     header = ["t"] + [f"theta_{i + 1}" for i in range(r)] + ["phi"]
-    rows = []
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat_axes = [m.ravel() for m in mesh]
-    for it, t in enumerate(times):
-        flat_phi = samples[it].ravel()
-        for idx in range(flat_phi.size):
-            rows.append([t] + [ax[idx] for ax in flat_axes] + [flat_phi[idx]])
+    # samples are C-ordered over (t, theta_1, ..., theta_r): each distinct
+    # grid value is formatted once and the product repeats its text
+    cells = [[fmt(v) for v in ax.tolist()] for ax in [times, *axes]]
+    grid = (",".join(point) for point in itertools.product(*cells))
+    rows = csv_lines(grid, map(fmt, samples.ravel().tolist()))
     write_csv(cfg, "edge_sim", header, rows)
 
     tol_eom = cfg.get("tolerances", "eom", float)

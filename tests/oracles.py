@@ -159,3 +159,37 @@ def dense_commutator_deviation(ladders, k, n_cap):
                 comm -= k * np.eye(keep)
             worst = max(worst, float(np.linalg.norm(comm, 2)))
     return worst / k
+
+
+def full_tensor_mode_residual(algebra):
+    """Worst interior deviation of every canonical mode commutator, formed
+    in the full tensor-product space from the embedded operators."""
+    import scipy.sparse as sp
+
+    mask = np.ones(1)
+    for d in algebra.factor_dims:
+        mask = np.kron(mask, (np.arange(d) <= d - 2).astype(complex))
+    proj = sp.diags(mask).tocsr()
+    eye = sp.identity(algebra.dim, format="csr", dtype=complex)
+    worst = 0.0
+
+    def check(a, b, expected_scalar):
+        nonlocal worst
+        residual = proj @ (_dense_comm(a, b) - expected_scalar * eye) @ proj
+        if residual.nnz:
+            worst = max(worst, float(np.max(np.abs(residual.data))))
+
+    signed = [n for n in range(-algebra.n_modes, algebra.n_modes + 1) if n != 0]
+    for i in range(algebra.r):
+        for j in range(algebra.r):
+            for n in signed:
+                for m in signed:
+                    expected = 0.0
+                    if i == j and n + m == 0:
+                        expected = 1.0 if n > 0 else -1.0
+                    check(algebra.alpha(i, n), algebra.alpha(j, m), expected)
+            check(algebra.alpha0(i), algebra.alphabar0(j), 1j if i == j else 0.0)
+            for n in signed:
+                check(algebra.alpha0(i), algebra.alpha(j, n), 0.0)
+                check(algebra.alphabar0(i), algebra.alpha(j, n), 0.0)
+    return worst

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -269,6 +270,16 @@ def test_csv_only_format(tmp_path):
         ("verify", ["verify.n_points=0"]),
         ("edge-sim", ["edge.amplitudes=inf"]),
         ("edge-sim", ["edge.velocities=nan"]),
+        # malformed list values
+        ("edge-sim", ["edge.velocities=abc"]),
+        ("edge-sim", ["edge.winding=abc"]),
+        ("edge-sim", ["edge.zero_mode=abc"]),
+        ("edge-sim", ["edge.amplitudes=0.5+zz"]),
+        ("star-convergence", ["sweep.k_values=a,b,c"]),
+        ("star-convergence", ["sweep.points=0.3+zz"]),
+        ("star-convergence", ["sweep.points=;"]),
+        ("edge-sim", ["edge.velocities=", "edge.winding=", "edge.zero_mode=", "edge.amplitudes="]),
+        ("spectrum", ["hamiltonian.e=x,y"]),
     ],
 )
 def test_config_shaped_values_exit_two(tmp_path, command, overrides):
@@ -278,6 +289,43 @@ def test_config_shaped_values_exit_two(tmp_path, command, overrides):
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
     assert len(result.stderr.strip().splitlines()) == 1
+
+
+# sha256 of data files recorded before the column-wise CSV writer and the
+# factor-local mode check; both must reproduce them byte for byte.
+GOLDEN_EDGE = [
+    "edge.velocities=1.0,2.0",
+    "edge.winding=0.0,0.0",
+    "edge.zero_mode=0.3,-0.2",
+    "edge.amplitudes=0.5,0.2-0.1j;0.3j,0.1+0.05j",
+    "edge.n_theta=8",
+    "edge.n_time=16",
+    "edge.algebra_modes=2",
+]
+GOLDEN_DIGESTS = [
+    ("edge-sim", GOLDEN_EDGE, {
+        "edge_sim.csv": "02c62ee15b2b3eca4cca6714ae899ff29fdb81d46a1c4f805e4366a219ff481a",
+        "edge_sim.json": "65f13b7b2d2ecae497650f0c93e9acc639ad18cb8ef7a4d9b5ad0a07739c4967",
+    }),
+    ("spectrum", [], {
+        "spectrum.csv": "70d18e3e89af7521733986b2d8bbf5dca14e2e4e250d89bd2092a128b66279f3",
+    }),
+    ("husimi", ["droplet.N=2"], {
+        "husimi.csv": "a7ae712a01f56a1033c4820c9756527811473d7bff578583639f8dd8ddd28258",
+    }),
+    ("husimi", ["statistics.s=1", "statistics.k=200", "statistics.n_max=60", "droplet.N=20"], {
+        "husimi.csv": "d7a9fee4233a6ab339b58c762eaccd16b3b9f72d6cf14236451d1e205bdca83f",
+    }),
+]
+
+
+@pytest.mark.parametrize("command,overrides,digests", GOLDEN_DIGESTS)
+def test_data_files_match_golden_digests(tmp_path, command, overrides, digests):
+    args = [item for override in overrides for item in ("--set", override)]
+    result = run_cli(command, "--out", str(tmp_path), *args)
+    assert result.returncode == 0, result.stderr
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify"])

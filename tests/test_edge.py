@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from arstat.edge import (
     sample_field,
 )
 from arstat.errors import GridError, InvalidSpec, SizeError
+from oracles import full_tensor_mode_residual
 
 
 def single_mode_field():
@@ -235,11 +237,11 @@ def test_cross_component_modes_commute():
 def test_zero_mode_pair_is_canonical():
     algebra = build_mode_algebra(r=1, n_modes=1, level=4, zero_dim=8)
     x, p = algebra.alpha0(0), algebra.alphabar0(0)
-    comm = x @ p - p @ x
-    proj = algebra.interior_projector()
-    eye = np.eye(algebra.dim, dtype=complex)
-    residual = proj @ (comm.toarray() - 1j * eye) @ proj
-    assert np.max(np.abs(residual)) < 1e-14
+    # axes (zero mode, oscillator) of row and column
+    comm = (x @ p - p @ x).toarray().reshape(8, 4, 8, 4)
+    # i on zero-mode levels 0..6, the identity on the oscillator factor
+    expected = 1j * np.einsum("ab,cd->acbd", np.eye(7), np.eye(4))
+    assert np.max(np.abs(comm[:7, :, :7, :] - expected)) < 1e-14
 
 
 def test_commutator_residual_zero_on_interior():
@@ -249,6 +251,35 @@ def test_commutator_residual_zero_on_interior():
     ]:
         algebra = build_mode_algebra(**kwargs)
         assert mode_commutator_residual(algebra) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "kwargs", [dict(r=1, n_modes=1, level=6), dict(r=2, n_modes=1, level=6, zero_dim=4)]
+)
+def test_residual_equals_full_tensor_oracle(kwargs):
+    algebra = build_mode_algebra(**kwargs)
+    residual = mode_commutator_residual(algebra)
+    assert 0.0 < residual < 1e-13
+    assert residual == full_tensor_mode_residual(algebra)
+
+
+@pytest.mark.parametrize("key", [(1, 1), (0, 0)])
+def test_residual_detects_a_wrong_lowering_amplitude(key):
+    algebra = build_mode_algebra(r=2, n_modes=1, level=6, zero_dim=4)
+    b = algebra.lowering[key].copy()
+    b.data[0] *= 1.01
+    mutated = dataclasses.replace(algebra, lowering={**algebra.lowering, key: b})
+    assert mode_commutator_residual(mutated) > 1e-12
+    assert full_tensor_mode_residual(mutated) > 1e-12
+
+
+def test_residual_detects_two_operators_on_one_factor():
+    algebra = build_mode_algebra(r=2, n_modes=1, level=6, zero_dim=4)
+    slots = {**algebra.slots, (1, 1): algebra.slots[(0, 1)]}
+    mutated = dataclasses.replace(algebra, slots=slots)
+    assert mode_commutator_residual(mutated) > 1e-12
+    # embedded on one factor, a_1 of both components fail to commute
+    assert full_tensor_mode_residual(mutated) > 1e-12
 
 
 def test_hilbert_dimension_report():
