@@ -211,8 +211,12 @@ def hamiltonian_spec(cfg: RunConfig, r: int) -> algebra.HamiltonianSpec:
 
 # ----------------------------------------------------------------- reports
 
+#: Every number in a data file: 17 significant digits round-trip a double.
+NUMBER_FORMAT = ".17g"
+
+
 def fmt(value: float) -> str:
-    return f"{value:.17g}"
+    return format(value, NUMBER_FORMAT)
 
 
 @dataclass
@@ -235,18 +239,43 @@ def write_json(cfg: RunConfig, name: str, payload: dict):
     return path
 
 
-def csv_lines(*columns) -> list[str]:
-    """Data lines from columns of already formatted cells."""
-    return [",".join(cells) for cells in zip(*columns)]
+def csv_lines(*columns):
+    """One block of data lines from columns of already formatted cells.
+
+    A generator, so the cells are formatted only if the block is written.
+    """
+    yield "".join(",".join(cells) + "\n" for cells in zip(*columns))
 
 
-def write_csv(cfg: RunConfig, name: str, header: list[str], rows: list[str]) -> Path | None:
-    """Write the header and ``rows``, one comma-joined line per row."""
+def edge_csv_blocks(times: np.ndarray, axes: list[np.ndarray], samples: np.ndarray):
+    """The edge-sim data lines, one block per time slice.
+
+    ``samples`` is C-ordered over (t, theta_1, ..., theta_r).  One template
+    with a line per angular grid point is built once, with the theta cells
+    already formatted in; each slice is then one ``str.format`` call that
+    fills in its time cell and the phi values.
+    """
+    theta_cells = itertools.product(*[[fmt(v) for v in ax.tolist()] for ax in axes])
+    phi_field = "{:" + NUMBER_FORMAT + "}"
+    template = "".join(f"{{t}},{','.join(point)},{phi_field}\n" for point in theta_cells)
+    for t, block in zip(times.tolist(), samples):
+        yield template.format(*block.ravel().tolist(), t=fmt(t))
+
+
+def write_csv(cfg: RunConfig, name: str, header: list[str], blocks) -> Path | None:
+    """Write the header line, then each newline-terminated text block of ``blocks``.
+
+    The blocks go to the open file one at a time.  Without ``csv`` in
+    ``--format`` nothing is written and ``blocks`` is never consumed, so a
+    lazy iterable formats no cell.
+    """
     if "csv" not in cfg.formats:
         return None
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{name}.csv"
-    path.write_text("\n".join([",".join(header), *rows]) + "\n")
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(blocks)
     return path
 
 
@@ -552,6 +581,23 @@ def cmd_edge_sim(cfg: RunConfig) -> int:
     periods = cfg.get("edge", "periods", float)
     if not (math.isfinite(periods) and periods > 0.0):
         raise ConfigError(f"[edge] periods = {periods} must be finite and positive")
+    with_action = all(w == 0.0 for w in winding)
+    # The spectral derivatives alias unless each grid samples the highest
+    # frequency it carries more than twice per cycle: mode M_i of component
+    # i in its angle, and in time sum_i |e_i| M_i cycles of the product per
+    # period.
+    top = [int(np.flatnonzero(row)[-1]) + 1 if row.any() else 0 for row in amps]
+    if n_theta <= 2 * max(top):
+        raise ConfigError(
+            f"[edge] n_theta = {n_theta} under-resolves mode {max(top)}; "
+            f"need n_theta >= {2 * max(top) + 1}"
+        )
+    time_nyquist = 2.0 * periods * sum(abs(e) * m for e, m in zip(velocities, top))
+    if with_action and n_time <= time_nyquist:
+        raise ConfigError(
+            f"[edge] n_time = {n_time} under-resolves the action's time derivative; "
+            f"need n_time >= {math.floor(time_nyquist) + 1}"
+        )
     window = 2.0 * math.pi * periods
     times = np.arange(n_time) * (window / n_time)
     axes = [np.arange(n_theta) * (2.0 * math.pi / n_theta)] * r
@@ -560,7 +606,7 @@ def cmd_edge_sim(cfg: RunConfig) -> int:
     period_res = edge.periodicity_residual(field, times=times[:: max(1, n_time // 8)])
     samples = edge.sample_field(field, axes, times)
 
-    if all(w == 0.0 for w in winding):
+    if with_action:
         action = edge.action_value(samples, velocities, times)
     else:
         action = None  # winding histories are not torus-periodic samples
@@ -572,12 +618,7 @@ def cmd_edge_sim(cfg: RunConfig) -> int:
     comm_res = edge.mode_commutator_residual(mode_algebra)
 
     header = ["t"] + [f"theta_{i + 1}" for i in range(r)] + ["phi"]
-    # samples are C-ordered over (t, theta_1, ..., theta_r): each distinct
-    # grid value is formatted once and the product repeats its text
-    cells = [[fmt(v) for v in ax.tolist()] for ax in [times, *axes]]
-    grid = (",".join(point) for point in itertools.product(*cells))
-    rows = csv_lines(grid, map(fmt, samples.ravel().tolist()))
-    write_csv(cfg, "edge_sim", header, rows)
+    write_csv(cfg, "edge_sim", header, edge_csv_blocks(times, axes, samples))
 
     tol_eom = cfg.get("tolerances", "eom", float)
     tol_period = cfg.get("tolerances", "periodicity", float)

@@ -151,13 +151,18 @@ def momentum_component(field: EdgeField, i: int, theta, t: float):
     return total
 
 
+def _spectral_derivative(values: np.ndarray, axis: int, wavenumbers: np.ndarray) -> np.ndarray:
+    # in place on the spectrum, and a real copy so no complex array outlives the call
+    shape = [1] * values.ndim
+    shape[axis] = len(wavenumbers)
+    spectrum = np.fft.fft(values, axis=axis)
+    spectrum *= 1j * wavenumbers.reshape(shape)
+    return np.fft.ifft(spectrum, axis=axis).real.copy()
+
+
 def _spectral_theta_derivative(values: np.ndarray, axis: int = -1) -> np.ndarray:
     n = values.shape[axis]
-    freqs = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers
-    spectrum = np.fft.fft(values, axis=axis)
-    shape = [1] * values.ndim
-    shape[axis] = n
-    return np.real(np.fft.ifft(spectrum * (1j * freqs.reshape(shape)), axis=axis))
+    return _spectral_derivative(values, axis, np.fft.fftfreq(n, d=1.0 / n))  # integer wavenumbers
 
 
 def eom_residual(field: EdgeField, n_theta: int = 128, times=None) -> float:
@@ -283,24 +288,32 @@ def action_value(
         raise GridError("times length must match the leading sample axis")
     dt = _check_uniform(times, "time")
 
-    theta_derivs = [
-        _spectral_theta_derivative(samples, axis=1 + i) for i in range(r)
-    ]
-    l_phi = np.sum(theta_derivs, axis=0)
+    # Every sum and product below runs in the order of the plain formulas
+    # L = d_1 + ... + d_r, chiral = d_t + (0 + e_1 d_1 + ... + e_r d_r) and
+    # integrand = (-1/2 L) chiral, in place on arrays no longer needed.
+    theta_derivs = [_spectral_theta_derivative(samples, axis=1 + i) for i in range(r)]
+    l_phi = theta_derivs[0].copy()
+    for deriv in theta_derivs[1:]:
+        l_phi += deriv
+    transport = np.zeros_like(samples)
+    for e, deriv in zip(velocities, theta_derivs):
+        deriv *= e
+        transport += deriv
+    del theta_derivs, deriv
 
     if time_periodic:
         nt = samples.shape[0]
         period = nt * dt
         freqs = np.fft.fftfreq(nt, d=1.0 / nt) * (2.0 * math.pi / period)
-        spectrum = np.fft.fft(samples, axis=0)
-        shape = [1] * samples.ndim
-        shape[0] = nt
-        dt_phi = np.real(np.fft.ifft(spectrum * (1j * freqs.reshape(shape)), axis=0))
+        chiral = _spectral_derivative(samples, 0, freqs)
     else:
-        dt_phi = np.gradient(samples, dt, axis=0)
+        chiral = np.gradient(samples, dt, axis=0)
+    chiral += transport
+    del transport
 
-    chiral = dt_phi + sum(velocities[i] * theta_derivs[i] for i in range(r))
-    integrand = -0.5 * l_phi * chiral
+    integrand = l_phi
+    integrand *= -0.5
+    integrand *= chiral
     cell = dt * (2.0 * math.pi) ** r / np.prod(samples.shape[1:])
     return float(np.sum(integrand) * cell)
 

@@ -95,16 +95,14 @@ def star_quadrature(a, b, basis: FockBasis, z, rule: QuadratureRule, n_angular: 
     return complex(integrate(rule, integrand, n_angular=n_angular))
 
 
-def _operator_jet(op, ladders: LadderOperators, z) -> tuple[complex, np.ndarray, np.ndarray]:
-    """Symbol of ``op`` at z with its exact gradients, from one coherent vector.
+def _operator_jet(op, ladders: LadderOperators, v: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
+    """Symbol of ``op`` with its exact gradients at the point of the coherent vector ``v``.
 
     On unnormalized coherent states the creator acts as d/dz_i, so
     dA/dz_i = <z|A a_i^+|z> - A <z|a_i^+|z> and
     dA/dzbar_j = <z|a_j^- A|z> - A <z|a_j^-|z>.  With v the normalized
     vector and u_j = a_j^+ v, the second is <u_j|A v> - A <u_j|v>.
     """
-    basis = ladders.basis
-    v = coherent_vector(basis.spec, basis, z).amplitudes
     av = op @ v
     value = complex(np.vdot(v, av))
     raised = [up @ v for up in ladders.plus]
@@ -130,25 +128,16 @@ class Symbol:
 
     @classmethod
     def from_operator(cls, op, ladders: LadderOperators) -> "Symbol":
-        """Symbol of an operator on the basis of ``ladders``, with exact gradients.
+        """Symbol of an operator on the basis of ``ladders``, with exact gradients."""
+        basis = ladders.basis
 
-        The value and both gradients at a point come from one coherent
-        vector, kept for the most recent point so that the star product and
-        the bracket at that point share it.
-        """
-        last: dict[bytes, tuple] = {}
-
-        def cached_jet(z):
-            key = z.tobytes()
-            if key not in last:
-                last.clear()
-                last[key] = _operator_jet(op, ladders, z)
-            return last[key]
+        def jet(z):
+            return _operator_jet(op, ladders, coherent_vector(basis.spec, basis, z).amplitudes)
 
         return cls(
-            fn=lambda z: cached_jet(z)[0],
-            grad_z=lambda z: cached_jet(z)[1],
-            grad_zbar=lambda z: cached_jet(z)[2],
+            fn=lambda z: symbol_of(op, basis, z),
+            grad_z=lambda z: jet(z)[1],
+            grad_zbar=lambda z: jet(z)[2],
         )
 
     def value(self, z) -> complex:
@@ -167,18 +156,46 @@ class Symbol:
 def star_first_order(sym_a: Symbol, sym_b: Symbol, spec: StatisticsSpec, z) -> complex:
     """Pointwise product plus the metric-contracted derivative correction."""
     z = np.asarray(z, dtype=complex)
-    a, da, _ = sym_a.jet(z)
-    b, _, dbbar = sym_b.jet(z)
-    return a * b + metric(spec, z).contract(da, dbbar)
+    return _star_first_order(sym_a.jet(z), sym_b.jet(z), metric(spec, z))
 
 
 def moyal_bracket(sym_a: Symbol, sym_b: Symbol, spec: StatisticsSpec, z) -> complex:
     """Star commutator of two symbols, exactly antisymmetric in (A, B)."""
     z = np.asarray(z, dtype=complex)
-    _, da, dabar = sym_a.jet(z)
-    _, db, dbbar = sym_b.jet(z)
-    m = metric(spec, z)
+    return _moyal_bracket(sym_a.jet(z), sym_b.jet(z), metric(spec, z))
+
+
+def _star_first_order(jet_a, jet_b, m) -> complex:
+    a, da, _ = jet_a
+    b, _, dbbar = jet_b
+    return a * b + m.contract(da, dbbar)
+
+
+def _moyal_bracket(jet_a, jet_b, m) -> complex:
+    _, da, dabar = jet_a
+    _, db, dbbar = jet_b
     return m.contract(da, dbbar) - m.contract(db, dabar)
+
+
+def _first_order_remainders(a, b, ladders: LadderOperators, z) -> tuple[float, float]:
+    """Star-product and star-commutator remainders at z, from one coherent vector.
+
+    With v the coherent vector at z, the exact star product is the symbol
+    of AB, <A^+ v|B v>, and the exact commutator symbol is that minus
+    <B^+ v|A v>; the jets of A and B come from the same v.
+    """
+    basis = ladders.basis
+    z = np.asarray(z, dtype=complex)
+    v = coherent_vector(basis.spec, basis, z).amplitudes
+    jet_a = _operator_jet(a, ladders, v)
+    jet_b = _operator_jet(b, ladders, v)
+    m = metric(basis.spec, z)
+    star = complex(np.vdot(a.conj().T @ v, b @ v))
+    commutator = star - complex(np.vdot(b.conj().T @ v, a @ v))
+    return (
+        abs(star - _star_first_order(jet_a, jet_b, m)),
+        abs(commutator - _moyal_bracket(jet_a, jet_b, m)),
+    )
 
 
 # ------------------------------------------------------- convergence study
@@ -247,17 +264,7 @@ def convergence_study(
         basis = enumerate_basis(spec)
         ladders = ladder_matrices(basis)
         a, b = build_pair(basis, ladders)
-        product = a @ b
-        commutator = product - b @ a
-        sym_a = Symbol.from_operator(a, ladders)
-        sym_b = Symbol.from_operator(b, ladders)
-        remainders = np.array([
-            (
-                abs(symbol_of(product, basis, z) - star_first_order(sym_a, sym_b, spec, z)),
-                abs(symbol_of(commutator, basis, z) - moyal_bracket(sym_a, sym_b, spec, z)),
-            )
-            for z in points
-        ])
+        remainders = np.array([_first_order_remainders(a, b, ladders, z) for z in points])
         if not np.all(np.isfinite(remainders)):
             raise ArstatError(f"non-finite star-product remainder at k={k:g}")
         worst_star, worst_bracket = remainders.max(axis=0)

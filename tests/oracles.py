@@ -3,7 +3,8 @@
 Everything here is deliberately written by a different route than the
 library code it checks: brute-force enumeration, log-space series with
 Kahan compensation, raw Dirichlet/Beta integrals via scipy, dense
-singular-value 2-norms, central-difference derivatives.
+singular-value 2-norms, central-difference derivatives, a CSV joined
+row by row in memory.
 """
 
 import itertools
@@ -193,3 +194,14 @@ def full_tensor_mode_residual(algebra):
                 check(algebra.alpha0(i), algebra.alpha(j, n), 0.0)
                 check(algebra.alphabar0(i), algebra.alpha(j, n), 0.0)
     return worst
+
+
+def edge_csv_reference(times, axes, samples):
+    """The whole edge-sim CSV text, joined in memory: one line per sample,
+    every cell formatted on its own to 17 significant digits, the grid in
+    C order over (t, theta_1, ..., theta_r)."""
+    header = ",".join(["t", *(f"theta_{i + 1}" for i in range(len(axes))), "phi"])
+    grid = itertools.product(*[[f"{v:.17g}" for v in ax.tolist()] for ax in [times, *axes]])
+    phi = [f"{v:.17g}" for v in samples.ravel().tolist()]
+    rows = [",".join(point) + "," + cell for point, cell in zip(grid, phi)]
+    return "\n".join([header, *rows]) + "\n"

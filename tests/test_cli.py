@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from arstat import cli
+from oracles import edge_csv_reference
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
@@ -253,6 +259,16 @@ def test_csv_only_format(tmp_path):
     assert bad.returncode == 2
 
 
+# Two modes per component at velocities 1 and 2: the angular grids must
+# exceed 2 * 2 points and the time grid 2 * (1 * 2 + 2 * 2) = 12 samples.
+RESOLVED_EDGE = [
+    "edge.velocities=1,2",
+    "edge.winding=0,0",
+    "edge.zero_mode=0,0",
+    "edge.amplitudes=0.5,0.2;0.3j,0.1",
+]
+
+
 @pytest.mark.parametrize(
     "command,overrides",
     [
@@ -280,6 +296,9 @@ def test_csv_only_format(tmp_path):
         ("star-convergence", ["sweep.points=;"]),
         ("edge-sim", ["edge.velocities=", "edge.winding=", "edge.zero_mode=", "edge.amplitudes="]),
         ("spectrum", ["hamiltonian.e=x,y"]),
+        # grids one sample short of resolving the field
+        ("edge-sim", [*RESOLVED_EDGE, "edge.n_theta=16", "edge.n_time=12"]),
+        ("edge-sim", [*RESOLVED_EDGE, "edge.n_theta=4", "edge.n_time=32"]),
     ],
 )
 def test_config_shaped_values_exit_two(tmp_path, command, overrides):
@@ -289,6 +308,96 @@ def test_config_shaped_values_exit_two(tmp_path, command, overrides):
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
     assert len(result.stderr.strip().splitlines()) == 1
+
+
+def _edge_args(out, overrides, *extra):
+    return ["edge-sim", "--out", str(out), *extra,
+            *[item for override in overrides for item in ("--set", override)]]
+
+
+def test_edge_sim_grid_at_the_resolution_threshold(tmp_path):
+    at_threshold = [*RESOLVED_EDGE, "edge.n_theta=5", "edge.n_time=13"]
+    result = run_cli(*_edge_args(tmp_path, at_threshold, "--format", "json"))
+    assert result.returncode == 0, result.stderr
+    meta = json.loads((tmp_path / "edge_sim.json").read_text())
+    assert abs(float(meta["action_value"])) < 1e-10
+    assert float(meta["eom_residual"]) < 1e-12
+    for grid, smallest in (("edge.n_theta=4", "n_theta >= 5"), ("edge.n_time=12", "n_time >= 13")):
+        below = run_cli(*_edge_args(tmp_path, [*at_threshold, grid]))
+        assert below.returncode == 2 and smallest in below.stderr, below.stderr
+
+
+def run_in_process(*args) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(args))
+
+
+# The edge-csv benchmark's size: 64 x 64 angles, 32 times, two modes per
+# component, a dim-82,944 mode algebra; 131,072 CSV rows, ~10 MB.
+EDGE_CSV_SIZED = [*RESOLVED_EDGE, "edge.n_theta=64", "edge.n_time=32", "edge.algebra_modes=2"]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["edge.n_theta=7", "edge.n_time=5"],
+        RESOLVED_EDGE + ["edge.n_theta=7", "edge.n_time=13"],
+        ["edge.velocities=1,2,3", "edge.winding=0,0,0.5", "edge.zero_mode=0.1,0.2,0.3",
+         "edge.amplitudes=0.5;0.2j;0.1+0.1j", "edge.n_theta=5", "edge.n_time=4"],
+    ],
+    ids=["r1", "r2-odd", "r3"],
+)
+def test_streamed_edge_csv_matches_the_in_memory_join(tmp_path, monkeypatch, overrides):
+    seen = []
+    streamed = cli.edge_csv_blocks
+
+    def recording(times, axes, samples):
+        seen.append((times, axes, samples))
+        return streamed(times, axes, samples)
+
+    monkeypatch.setattr(cli, "edge_csv_blocks", recording)
+    assert run_in_process(*_edge_args(tmp_path, overrides)) == 0
+    [(times, axes, samples)] = seen
+    assert samples.shape == (len(times), *(len(ax) for ax in axes))
+    expected = edge_csv_reference(times, axes, samples).encode()
+    assert (tmp_path / "edge_sim.csv").read_bytes() == expected
+
+
+def test_edge_sim_json_only_formats_no_csv_cell(tmp_path, monkeypatch):
+    consumed = []
+    fmt_calls = []
+    streamed, fmt = cli.edge_csv_blocks, cli.fmt
+
+    def counting_blocks(*args):
+        for block in streamed(*args):
+            consumed.append(block)
+            yield block
+
+    def counting_fmt(value):
+        fmt_calls.append(value)
+        return fmt(value)
+
+    monkeypatch.setattr(cli, "edge_csv_blocks", counting_blocks)
+    monkeypatch.setattr(cli, "fmt", counting_fmt)
+    assert run_in_process(*_edge_args(tmp_path, EDGE_CSV_SIZED, "--format", "json")) == 0
+    assert not (tmp_path / "edge_sim.csv").exists()
+    assert (tmp_path / "edge_sim.json").is_file()
+    assert consumed == []
+    # the report's four residuals; no time, angle or phi cell
+    assert len(fmt_calls) == 4
+
+
+def test_edge_sim_peak_traced_allocation(tmp_path):
+    # The CSV is streamed one 4,096-line time slice at a time; joining all
+    # rows in memory peaked at ~37 MiB, against a 1 MiB sample array.
+    tracemalloc.start()
+    try:
+        assert run_in_process(*_edge_args(tmp_path, EDGE_CSV_SIZED)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "edge_sim.csv").stat().st_size > 10_000_000
+    assert peak < 16 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"
 
 
 # sha256 of data files recorded before the column-wise CSV writer and the

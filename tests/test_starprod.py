@@ -324,6 +324,22 @@ def test_bosonic_remainders_fall_like_k_squared():
     assert study.bracket_fit.slope == pytest.approx(-2.0, abs=0.3)
 
 
+def test_one_coherent_vector_per_k_and_point(monkeypatch):
+    import arstat.starprod
+
+    calls = []
+    build = arstat.starprod.coherent_vector
+
+    def counting(spec, basis, z, *args, **kwargs):
+        calls.append(spec.k)
+        return build(spec, basis, z, *args, **kwargs)
+
+    monkeypatch.setattr(arstat.starprod, "coherent_vector", counting)
+    k_values, points = [10, 20, 40], [[0.3], [0.45 + 0.1j]]
+    convergence_study(k_values, _fermionic_spec, standard_pair("raise_sq_lower_sq"), points)
+    assert calls == [k for k in k_values for _ in points]
+
+
 def test_non_finite_remainder_is_an_error():
     def poisoned(basis, ladders):
         eye = np.eye(basis.dim, dtype=complex)
