@@ -83,6 +83,11 @@ SLOPE_BAND = (-2.3, -1.7)
 # 256 MiB of complex entries
 DENSE_DIM_LIMIT = 4096
 
+# edge-sim holds about eight float arrays the size of its sample grid (the
+# samples, the derivatives of the action, FFT workspace) and writes one CSV
+# line per sample: 2^24 samples are about 1 GiB of arrays and 1.3 GB of CSV
+EDGE_SAMPLE_LIMIT = 2**24
+
 
 # ------------------------------------------------------------ configuration
 
@@ -97,7 +102,10 @@ class RunConfig:
 
     def get(self, section: str, key: str, cast, required: bool = True, default=None):
         if self.parser.has_option(section, key):
-            raw = self.parser.get(section, key)
+            try:
+                raw = self.parser.get(section, key)
+            except configparser.InterpolationError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
             try:
                 return cast(raw)
             except (ValueError, TypeError) as exc:
@@ -156,9 +164,13 @@ def load_config(args) -> RunConfig:
             raise ConfigError(
                 f"bad --set {override!r}; expected section.key=value"
             ) from None
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section.strip(), key.strip(), value.strip())
+        section, key = section.strip(), key.strip()
+        try:
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser.set(section, key, value.strip())
+        except ValueError as exc:  # the DEFAULT section, or a stray '%'
+            raise ConfigError(f"bad --set {override!r}: {exc}") from None
         hashed.append(override)
     hashed.append(f"seed={args.seed}")
     digest = hashlib.sha256("\n".join(hashed).encode()).hexdigest()[:16]
@@ -581,6 +593,10 @@ def cmd_edge_sim(cfg: RunConfig) -> int:
     periods = cfg.get("edge", "periods", float)
     if not (math.isfinite(periods) and periods > 0.0):
         raise ConfigError(f"[edge] periods = {periods} must be finite and positive")
+    if n_time * n_theta**r > EDGE_SAMPLE_LIMIT:
+        raise SizeError(
+            f"[edge] n_time * n_theta^{r} exceeds the limit of {EDGE_SAMPLE_LIMIT} samples"
+        )
     with_action = all(w == 0.0 for w in winding)
     # The spectral derivatives alias unless each grid samples the highest
     # frequency it carries more than twice per cycle: mode M_i of component
@@ -593,23 +609,35 @@ def cmd_edge_sim(cfg: RunConfig) -> int:
             f"need n_theta >= {2 * max(top) + 1}"
         )
     time_nyquist = 2.0 * periods * sum(abs(e) * m for e, m in zip(velocities, top))
+    if not math.isfinite(time_nyquist):
+        raise ConfigError(
+            "[edge] velocities, amplitudes and periods overflow the time resolution bound"
+        )
     if with_action and n_time <= time_nyquist:
         raise ConfigError(
             f"[edge] n_time = {n_time} under-resolves the action's time derivative; "
             f"need n_time >= {math.floor(time_nyquist) + 1}"
         )
     window = 2.0 * math.pi * periods
+    if window / n_time == 0.0:
+        raise ConfigError(f"[edge] periods = {periods} leaves a zero time step")
     times = np.arange(n_time) * (window / n_time)
     axes = [np.arange(n_theta) * (2.0 * math.pi / n_theta)] * r
 
-    eom = edge.eom_residual(field, n_theta=n_theta, times=times[:: max(1, n_time // 8)])
-    period_res = edge.periodicity_residual(field, times=times[:: max(1, n_time // 8)])
-    samples = edge.sample_field(field, axes, times)
-
-    if with_action:
-        action = edge.action_value(samples, velocities, times)
-    else:
-        action = None  # winding histories are not torus-periodic samples
+    # Finite inputs can still overflow double precision (a zero mode of
+    # 1e308, a winding times the time window).  The inf or nan that follows
+    # would pass or fail the tolerance checks arbitrarily, so it is refused.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            eom = edge.eom_residual(field, n_theta=n_theta, times=times[:: max(1, n_time // 8)])
+            period_res = edge.periodicity_residual(field, times=times[:: max(1, n_time // 8)])
+            samples = edge.sample_field(field, axes, times)
+            if with_action:
+                action = edge.action_value(samples, velocities, times)
+            else:
+                action = None  # winding histories are not torus-periodic samples
+    except FloatingPointError as exc:
+        raise ConfigError(f"[edge] the field overflows double precision ({exc})") from None
 
     modes = cfg.get("edge", "algebra_modes", int)
     level = cfg.get("edge", "algebra_level", int)

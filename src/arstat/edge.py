@@ -14,21 +14,27 @@ solutions, so the action is zero there and nonzero on generic data.
 Quantization promotes the Fourier amplitudes to oscillator modes with
 [a_n^i, a_m^j] = d_ij d_{n+m,0} and a conjugate zero-mode pair with
 [a0, zbar0] = i, realized on truncated factors whose commutators are
-exact on interior levels.  The factors are stored one by one and embedded
-in the tensor-product space only on demand.  Operators on distinct
-factors commute exactly, so the commutator check runs on each factor
-alone and checks that no two operators share a factor.
+exact on interior levels.  Each factor is stored by the one band of its
+lowering operator, as a numpy vector, and embedded in the tensor-product
+space only on demand, as a ``scipy.sparse`` matrix; that embedding is the
+only use of SciPy here, and imports it.  Operators on distinct factors
+commute exactly, so the commutator check runs on each factor alone, from
+its bands in time linear in its dimension, and checks that no two
+operators share a factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import GridError, InvalidSpec, SizeError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "EdgeField",
@@ -326,12 +332,14 @@ class ModeAlgebra:
 
     The Hilbert space is the tensor product over components i of one
     zero-mode factor and one truncated oscillator per n = 1..M.  Each
-    factor is kept as built: ``lowering[(i, n)]`` is the lowering operator
-    of the factor that ``slots[(i, n)]`` names (n = 0 the zero mode, whose
-    pair is x = (b + b^+)/sqrt2, p = i(b^+ - b)/sqrt2).  ``alpha(i, n)``
-    (n > 0 lowers, n < 0 is the conjugate raiser), ``alpha0`` and
-    ``alphabar0`` embed one factor into the full space on demand; the pair
-    obeys [alpha0, alphabar0] = i on interior levels.
+    factor is kept as built, by the one band of its lowering operator b:
+    ``lowering[(i, n)]`` is the superdiagonal sqrt(1..d-1) of b on the
+    factor that ``slots[(i, n)]`` names (n = 0 the zero mode, whose pair is
+    x = (b + b^+)/sqrt2, p = i(b^+ - b)/sqrt2).
+    ``alpha(i, n)`` (n > 0 lowers, n < 0 is the conjugate raiser), ``alpha0``
+    and ``alphabar0`` embed one factor into the full space on demand, as
+    ``scipy.sparse`` CSR matrices; the pair obeys [alpha0, alphabar0] = i on
+    interior levels.
     """
 
     r: int
@@ -347,20 +355,27 @@ class ModeAlgebra:
             raise InvalidSpec(f"component {i} outside 0..{self.r - 1}")
         if n == 0 or abs(n) > self.n_modes:
             raise InvalidSpec(f"mode {n} outside the stored range 1..{self.n_modes}")
-        op = self._embed((i, abs(n)), self.lowering[(i, abs(n))])
-        return op if n > 0 else op.conj().T.tocsr()
+        b, bd, _, _ = _bands(self.lowering[(i, abs(n))])
+        return self._embed((i, abs(n)), b if n > 0 else bd)
 
     def alpha0(self, i: int) -> sparse.csr_matrix:
-        return self._embed((i, 0), _quadratures(self.lowering[(i, 0)])[0])
+        return self._embed((i, 0), _bands(self.lowering[(i, 0)])[2])
 
     def alphabar0(self, i: int) -> sparse.csr_matrix:
-        return self._embed((i, 0), _quadratures(self.lowering[(i, 0)])[1])
+        return self._embed((i, 0), _bands(self.lowering[(i, 0)])[3])
 
-    def _embed(self, key: tuple[int, int], op: sparse.csr_matrix) -> sparse.csr_matrix:
-        """Kron product with ``op`` on the factor of ``key``, identities elsewhere."""
+    def _embed(self, key: tuple[int, int], bands: dict) -> sparse.csr_matrix:
+        """Kron product with the operator of diagonals ``bands`` on the
+        factor of ``key``, identities elsewhere."""
+        from scipy import sparse
+
         out = None
         for j, dim in enumerate(self.factor_dims):
-            block = op if j == self.slots[key] else sparse.identity(dim, format="csr", dtype=complex)
+            if j == self.slots[key]:
+                diagonals = [v[max(0, -k): dim - max(0, k)] for k, v in bands.items()]
+                block = sparse.diags(diagonals, list(bands), format="csr")
+            else:
+                block = sparse.identity(dim, format="csr", dtype=complex)
             out = block if out is None else sparse.kron(out, block, format="csr")
         return out
 
@@ -370,13 +385,45 @@ class ModeAlgebra:
                 for j in range(self.r * (self.n_modes + 1))]
 
 
-def _lowering(dim: int) -> sparse.csr_matrix:
-    return sparse.diags(np.sqrt(np.arange(1, dim)), offsets=1).tocsr().astype(complex)
+def _lowering(dim: int) -> np.ndarray:
+    # the superdiagonal sqrt(1..dim-1) of the truncated lowering operator
+    return np.sqrt(np.arange(1, dim)).astype(complex)
 
 
-def _quadratures(b: sparse.csr_matrix) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    bd = b.conj().T
-    return (b + bd) / math.sqrt(2.0), 1j * (bd - b) / math.sqrt(2.0)
+def _bands(s: np.ndarray) -> tuple[dict, dict, dict, dict]:
+    """b, b^+, x = (b + b^+)/sqrt2 and p = i(b^+ - b)/sqrt2 of the factor
+    whose lowering superdiagonal is ``s``, each as {k: v} with
+    v[i] = A[i, i + k] and v zero where (i, i + k) is off the matrix."""
+    zero = np.zeros(1, dtype=complex)
+    up, down = np.concatenate([s, zero]), np.concatenate([zero, s.conj()])
+    # times 1/sqrt2, which is how scipy.sparse divides by a scalar: the
+    # residual edge-sim writes keeps its bytes
+    scale = 1 / math.sqrt(2.0)
+    x = {-1: down * scale, 1: up * scale}
+    p = {-1: 1j * down * scale, 1: 1j * -up * scale}
+    return {1: up}, {-1: down}, x, p
+
+
+def _shift(v: np.ndarray, k: int) -> np.ndarray:
+    """w[i] = v[i + k], zero where i + k is off the end."""
+    w = np.zeros_like(v)
+    if k >= 0:
+        w[: v.size - k] = v[k:]
+    else:
+        w[-k:] = v[:k]
+    return w
+
+
+def _band_product(a: dict, c: dict) -> dict:
+    # entry (i, i + k + m) gains a[k][i] * c[m][i + k]; looping k upwards
+    # adds each entry's terms in index order, as scipy.sparse adds them in
+    # the full-space commutators, which this residual must equal exactly
+    out = {}
+    for k in sorted(a):
+        for m in sorted(c):
+            term = a[k] * _shift(c[m], k)
+            out[k + m] = out[k + m] + term if k + m in out else term
+    return out
 
 
 def build_mode_algebra(
@@ -395,14 +442,13 @@ def build_mode_algebra(
     if zero_dim < 3:
         raise InvalidSpec("zero-mode factor needs dimension >= 3")
     total = 1
-    for _ in range(r):
-        for d in [zero_dim] + [level] * n_modes:
-            total *= d
-            if total > dim_budget:
-                raise SizeError(
-                    f"tensor dimension exceeds the budget {dim_budget}; "
-                    f"shrink level, n_modes or zero_dim"
-                )
+    for j in range(r * (n_modes + 1)):  # a lazy range: n_modes may be huge
+        total *= zero_dim if j % (n_modes + 1) == 0 else level
+        if total > dim_budget:
+            raise SizeError(
+                f"tensor dimension exceeds the budget {dim_budget}; "
+                f"shrink level, n_modes or zero_dim"
+            )
 
     keys = [(i, n) for i in range(r) for n in range(n_modes + 1)]
     return ModeAlgebra(
@@ -449,18 +495,20 @@ def mode_commutator_residual(algebra: ModeAlgebra) -> float:
     if len(set(algebra.slots.values())) != len(algebra.slots):
         return math.inf
     worst = 0.0
-    for (_, n), b in algebra.lowering.items():
-        d = b.shape[0]
-        eye = sparse.identity(d, format="csr", dtype=complex)
-        interior = sparse.diags((np.arange(d) <= d - 2).astype(complex)).tocsr()
+    for (_, n), s in algebra.lowering.items():
+        d = s.size + 1
+        b, bd, x, p = _bands(s)
         if n == 0:
-            x, p = _quadratures(b)
             relations = [(x, p, 1j)]
         else:
-            bd = b.conj().T.tocsr()
             relations = [(b, bd, 1.0), (b, b, 0.0), (bd, bd, 0.0)]
         for a, c, expected in relations:
-            residual = interior @ (a @ c - c @ a - expected * eye) @ interior
-            if residual.nnz:
-                worst = max(worst, float(np.max(np.abs(residual.data))))
+            ac, ca = _band_product(a, c), _band_product(c, a)
+            empty = np.zeros(d, dtype=complex)
+            for k in ac.keys() | ca.keys() | {0}:
+                residual = ac.get(k, empty) - ca.get(k, empty) - (expected if k == 0 else 0.0)
+                # interior rows and columns 0..d-2
+                interior = residual[max(0, -k): d - 1 - max(0, k)]
+                if interior.size:
+                    worst = max(worst, float(np.max(np.abs(interior))))
     return worst

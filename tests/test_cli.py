@@ -4,12 +4,15 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from arstat import cli
 from oracles import edge_csv_reference
@@ -299,6 +302,20 @@ RESOLVED_EDGE = [
         # grids one sample short of resolving the field
         ("edge-sim", [*RESOLVED_EDGE, "edge.n_theta=16", "edge.n_time=12"]),
         ("edge-sim", [*RESOLVED_EDGE, "edge.n_theta=4", "edge.n_time=32"]),
+        # a time resolution bound that overflows to inf
+        ("edge-sim", ["edge.velocities=1e308", "edge.n_time=1000"]),
+        # 64 * 300000^2 samples, refused before any array is allocated
+        ("edge-sim", [*RESOLVED_EDGE, "edge.n_theta=300000"]),
+        ("edge-sim", ["edge.algebra_modes=1000000000000"]),
+        # finite inputs whose field overflows double precision
+        ("edge-sim", ["edge.zero_mode=1e308"]),
+        ("edge-sim", ["edge.winding=1e308"]),
+        ("edge-sim", ["edge.periods=1e-320"]),
+        ("edge-sim", ["edge.periods=5e-324"]),
+        # values and sections that configparser itself refuses
+        ("edge-sim", ["edge.velocities=1%"]),
+        ("edge-sim", ["edge.n_theta=%(x)s"]),
+        ("edge-sim", ["DEFAULT.n_theta=8"]),
     ],
 )
 def test_config_shaped_values_exit_two(tmp_path, command, overrides):
@@ -330,6 +347,97 @@ def test_edge_sim_grid_at_the_resolution_threshold(tmp_path):
 def run_in_process(*args) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main(list(args))
+
+
+def test_set_strips_section_and_key(tmp_path):
+    # an unknown section written with a space is added under its stripped name
+    assert run_in_process("edge-sim", "--out", str(tmp_path), "--set", "foo .x=1") == 0
+    errors = io.StringIO()
+    with contextlib.redirect_stderr(errors):
+        code = run_in_process("edge-sim", "--out", str(tmp_path), "--set", " edge . n_time = 1")
+    assert code == 2
+    assert "[edge] n_time = 1 must be at least 2" in errors.getvalue()
+
+
+# The default algebra is one zero mode (dimension 8) and one oscillator
+# (level 6); the last two cases put the total at the 300,000 budget.  There
+# sqrt(n)^2 - n rounds to a few ulp of n, past the fixed 1e-12 bound.
+@pytest.mark.parametrize(
+    "override,expected",
+    [("edge.algebra_level=2000", 0), ("edge.algebra_level=37500", 1),
+     ("edge.algebra_zero_dim=50000", 1)],
+)
+def test_edge_sim_mode_algebra_up_to_the_budget(tmp_path, override, expected):
+    assert run_in_process("edge-sim", "--out", str(tmp_path), "--set", override) == expected
+    meta = json.loads((tmp_path / "edge_sim.json").read_text())
+    residual = float(meta["mode_commutator_residual"])
+    assert 0.0 < residual <= 4 * max(meta["hilbert_dimensions"]) * np.finfo(float).eps
+
+
+EDGE_COUNTS = {"n_theta": (5, 16), "n_time": (2, 16), "algebra_modes": (1, 2),
+               "algebra_level": (3, 6), "algebra_zero_dim": (3, 8)}
+# Up to the mode-algebra budget with every other factor at its default.
+BUDGET_SIZED = {"algebra_level": (1_000, 37_500), "algebra_zero_dim": (1_000, 50_000)}
+# Each is past the sample limit or the mode-algebra budget on its own, so
+# no draw allocates a large grid.
+HUGE_COUNTS = (10**12, 2**63, 10**30)
+EXTREME_NUMBERS = (1e308, -1e308, 1e200, 1e-320, 5e-324)
+MALFORMED = ("nan", "inf", "-1", "0", "", "x", "%", ";", "%(x)s")
+SECTIONS = ("edge", " edge", "edge ", " edge ", "foo ", " bar", "DEFAULT")
+
+
+def _edge_value(draw, key, r, extreme):
+    """One value for ``[edge] key`` on r components: a small, well-formed
+    one, or with ``extreme`` a huge, tiny, non-finite or malformed one."""
+    if extreme and draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(MALFORMED))
+    if extreme and key in BUDGET_SIZED and draw(st.booleans()):
+        return str(draw(st.integers(*BUDGET_SIZED[key])))
+    if key in EDGE_COUNTS:
+        return str(draw(st.sampled_from(HUGE_COUNTS) if extreme else st.integers(*EDGE_COUNTS[key])))
+    if key == "corrupted":
+        return draw(st.sampled_from(("false", "true", "no")))
+    if key == "periods":
+        return repr(draw(st.sampled_from(EXTREME_NUMBERS) if extreme else st.floats(0.05, 1.0)))
+    number = st.floats(-1.0, 1.0)
+    if extreme:
+        number = st.sampled_from(EXTREME_NUMBERS) | number
+    if key == "amplitudes":
+        group = st.lists(st.complex_numbers(max_magnitude=1.0) | number.map(complex), min_size=1, max_size=2)
+        return ";".join(",".join(map(str, grp)) for grp in draw(st.lists(group, min_size=r, max_size=r)))
+    if key == "winding" and not extreme:
+        number = st.sampled_from((0.0, 0.0, 0.5))  # zero winding runs the action
+    return ",".join(repr(v) for v in draw(st.lists(number, min_size=r, max_size=r)))
+
+
+@st.composite
+def edge_overrides(draw):
+    """``--set`` items for edge-sim: a small field on r components, then a
+    few overrides of any [edge] key, some extreme, some in a spaced section."""
+    r = draw(st.integers(1, 2))
+    base = ("velocities", "winding", "zero_mode", "amplitudes", "n_theta", "n_time")
+    items = [f"edge.{key}={_edge_value(draw, key, r, extreme=False)}" for key in base]
+    keys = st.sampled_from([*base, "periods", "corrupted", "algebra_modes", "algebra_level", "algebra_zero_dim"])
+    for key in draw(st.lists(keys, max_size=3)):
+        section = draw(st.sampled_from(SECTIONS))
+        items.append(f"{section}.{key}={_edge_value(draw, key, r, extreme=draw(st.booleans()))}")
+    return items
+
+
+@given(overrides=edge_overrides())
+# one input per check added with this test, each of which once raised or
+# asked for tens of GB; the random draws reach them only by chance
+@example(overrides=["foo .x=1"])
+@example(overrides=["edge.velocities=1e308", "edge.n_time=1000"])
+@example(overrides=["edge.n_theta=1000000000000"])
+@example(overrides=["edge.algebra_level=37500"])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_edge_sim_settings_exit_0_1_or_2(overrides):
+    errors = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(errors):
+        code = run_in_process("edge-sim", "--out", out, *(f"--set={item}" for item in overrides))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in errors.getvalue()
 
 
 # The edge-csv benchmark's size: 64 x 64 angles, 32 times, two modes per

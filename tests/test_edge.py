@@ -267,7 +267,7 @@ def test_residual_equals_full_tensor_oracle(kwargs):
 def test_residual_detects_a_wrong_lowering_amplitude(key):
     algebra = build_mode_algebra(r=2, n_modes=1, level=6, zero_dim=4)
     b = algebra.lowering[key].copy()
-    b.data[0] *= 1.01
+    b[0] *= 1.01  # the entry b[0, 1]
     mutated = dataclasses.replace(algebra, lowering={**algebra.lowering, key: b})
     assert mode_commutator_residual(mutated) > 1e-12
     assert full_tensor_mode_residual(mutated) > 1e-12
