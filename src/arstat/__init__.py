@@ -7,8 +7,11 @@ bracket, and the chiral boson theory on the droplet edge.
 The five layer modules load on first use.  Importing the package registers
 each of them in ``sys.modules`` behind ``importlib.util.LazyLoader``, so a
 module body (and its numpy or SciPy imports) runs on the first attribute
-access.  ``arstat.edge`` needs only numpy; the other layers need SciPy.
-The names re-exported here resolve through the module ``__getattr__``.
+access.  ``arstat.algebra``, ``arstat.droplet`` and ``arstat.edge`` import
+only numpy and load SciPy inside the functions that build sparse matrices
+or need ``gammaln``; ``arstat.bargmann`` imports it at module level, and
+``arstat.starprod`` imports ``bargmann``.  The names re-exported here
+resolve through the module ``__getattr__``.
 """
 
 

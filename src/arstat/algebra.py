@@ -18,13 +18,14 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.special import gammaln
 
 from .errors import InvalidSpec, ModeOutOfRange
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "StatisticsSpec",
@@ -89,6 +90,8 @@ class StatisticsSpec:
         object.__setattr__(self, "s", int(self.s))
         if not isinstance(self.k, numbers.Real) or not math.isfinite(self.k):
             raise InvalidSpec(f"label k must be a finite real number, got {self.k!r}")
+        if not math.isfinite(2.0 * self.k):
+            raise InvalidSpec(f"label k={self.k} is too large: the scale kappa overflows")
         if not 2 * self.k - 1 > self.s:
             raise InvalidSpec(f"label k={self.k} violates 2k - 1 > s for s={self.s}")
         if self.s == -1:
@@ -205,6 +208,8 @@ class FockBasis:
         Gamma(k) / (Gamma(k - |n|) prod_i n_i!) for s = -1; the scalar
         ``bargmann.log_coefficient`` evaluates the same formula per state.
         """
+        from scipy.special import gammaln
+
         k, n_tot = self.spec.k, self.grades
         if self.spec.s == +1:
             log_ratio = gammaln(k + n_tot) - gammaln(k)
@@ -218,6 +223,8 @@ class FockBasis:
 
     def grade_projector(self, cap: int) -> sparse.csr_matrix:
         """Diagonal projector onto states with total occupancy <= cap."""
+        from scipy import sparse
+
         diag = (self.grades <= cap).astype(complex)
         return sparse.diags(diag).tocsr()
 
@@ -283,6 +290,8 @@ def ladder_matrices(basis: FockBasis) -> LadderOperators:
     contributes nothing; for s=-1 the amplitude there is exactly zero
     anyway, so truncation is exact on the whole space.
     """
+    from scipy import sparse
+
     spec = basis.spec
     occ = basis.occupations
     # F_i(n) = 0.5 n_i * bracket(n) at each state n, the upper end of its lowering step
@@ -304,6 +313,8 @@ def ladder_matrices(basis: FockBasis) -> LadderOperators:
 
 def number_operator(basis: FockBasis, mode: int) -> sparse.csr_matrix:
     """Diagonal occupancy operator for one mode."""
+    from scipy import sparse
+
     if not 0 <= mode < basis.spec.r:
         raise ModeOutOfRange(f"mode {mode} outside 0..{basis.spec.r - 1}")
     diag = basis.occupations[:, mode].astype(complex)
@@ -446,6 +457,8 @@ def hamiltonian(basis: FockBasis, hspec: HamiltonianSpec) -> sparse.csr_matrix:
     ``hamiltonian_from_commutators`` produces on interior states, without
     the truncation artifact in the top occupancy layer.
     """
+    from scipy import sparse
+
     diag = occupation_energies(basis, hspec).astype(complex)
     return sparse.diags(diag).tocsr()
 
@@ -471,6 +484,8 @@ def hamiltonian_from_commutators(
     top layer, so agreement with ``hamiltonian`` holds on total occupancy
     <= n_max - 1 only.
     """
+    from scipy import sparse
+
     spec = basis.spec
     if len(hspec.e) != spec.r:
         raise InvalidSpec(f"need {spec.r} mode energies, got {len(hspec.e)}")
@@ -494,6 +509,8 @@ def commutator_deviation(spec: StatisticsSpec, n_cap: int, ladders: LadderOperat
     k - (1+s)/2 + s(n_tot + 1) + s n_i, and cross-mode commutators stay O(1).
     The 2-norm is the certified bound of the sparse block, exact here.
     """
+    from scipy import sparse
+
     if spec.s == +1 and spec.n_max < n_cap + 2:
         raise InvalidSpec("bosonic sweep needs n_max >= n_cap + 2")
     if n_cap > spec.total_cap:

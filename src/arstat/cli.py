@@ -88,6 +88,15 @@ DENSE_DIM_LIMIT = 4096
 # line per sample: 2^24 samples are about 1 GiB of arrays and 1.3 GB of CSV
 EDGE_SAMPLE_LIMIT = 2**24
 
+# husimi evaluates its profile on about a dozen float arrays of the grid's
+# length and writes about 100 bytes of CSV per point: 2^20 points are about
+# 100 MiB of each
+HUSIMI_POINT_LIMIT = 2**20
+
+# star-convergence builds one basis and its ladders per k.  The r=2
+# commuting_numbers sweep to k=1280 (820,440 states) peaks at about 300 MiB
+SWEEP_DIM_LIMIT = 2**21
+
 
 # ------------------------------------------------------------ configuration
 
@@ -435,6 +444,10 @@ def cmd_husimi(cfg: RunConfig) -> int:
     if cap is None:
         raise ConfigError("missing required field [droplet] N")
     n_points = cfg.get_count("droplet", "points", 1)
+    if n_points > HUSIMI_POINT_LIMIT:
+        raise SizeError(
+            f"[droplet] points = {n_points} exceeds the limit of {HUSIMI_POINT_LIMIT} points"
+        )
     dspec = droplet.DropletSpec(spec, N=cap)
 
     mu_hi = 2.0 * cap if cap > 0 else 4.0
@@ -520,6 +533,11 @@ def cmd_star_convergence(cfg: RunConfig) -> int:
             return algebra.StatisticsSpec(r=r, s=-1, k=int(k))
         return algebra.StatisticsSpec(r=r, s=+1, k=float(k), n_max=sweep_n_max)
 
+    for k in k_values:
+        if algebra.basis_dimension(build_spec(k)) > SWEEP_DIM_LIMIT:
+            raise SizeError(
+                f"[sweep] k = {k:g} needs a basis of more than {SWEEP_DIM_LIMIT} states"
+            )
     study = starprod.convergence_study(k_values, build_spec, pair, points)
 
     write_csv(

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy import sparse
 
-import arstat.algebra
 import arstat.bargmann
 from arstat.algebra import LadderOperators, StatisticsSpec, enumerate_basis, ladder_matrices
 from arstat.bargmann import coherent_vector, differential_realization_check, log_coefficient
@@ -55,7 +55,8 @@ def test_cache_does_not_change_basis_equality():
 def test_coherent_vector_builds_coefficients_once_per_basis(monkeypatch):
     scalar_calls, gammaln_calls = [], []
     scalar = arstat.bargmann.log_coefficient
-    gammaln = arstat.algebra.gammaln
+    # algebra imports gammaln from scipy.special when it first needs it
+    gammaln = scipy.special.gammaln
 
     def counting_scalar(*args):
         scalar_calls.append(args)
@@ -66,7 +67,7 @@ def test_coherent_vector_builds_coefficients_once_per_basis(monkeypatch):
         return gammaln(x)
 
     monkeypatch.setattr(arstat.bargmann, "log_coefficient", counting_scalar)
-    monkeypatch.setattr(arstat.algebra, "gammaln", counting_gammaln)
+    monkeypatch.setattr(scipy.special, "gammaln", counting_gammaln)
     spec = StatisticsSpec(r=2, s=-1, k=12)
     basis = enumerate_basis(spec)
     first = coherent_vector(spec, basis, [0.3 + 0.1j, -0.2j])

@@ -316,6 +316,12 @@ RESOLVED_EDGE = [
         ("edge-sim", ["edge.velocities=1%"]),
         ("edge-sim", ["edge.n_theta=%(x)s"]),
         ("edge-sim", ["DEFAULT.n_theta=8"]),
+        # sizes refused before any array is allocated
+        ("husimi", ["droplet.N=2", "droplet.points=100000000000"]),
+        ("star-convergence", ["sweep.k_values=20,40,1e300"]),
+        ("star-convergence", ["sweep.s=1", "sweep.n_max=1000000000000"]),
+        # a label whose scale kappa = (2k + s - 1)/2 overflows
+        ("husimi", ["droplet.N=2", "statistics.k=1.7e308"]),
     ],
 )
 def test_config_shaped_values_exit_two(tmp_path, command, overrides):
@@ -519,6 +525,8 @@ GOLDEN_EDGE = [
     "edge.n_time=16",
     "edge.algebra_modes=2",
 ]
+HUSIMI_FERMIONIC = ["droplet.N=2"]
+HUSIMI_BOSONIC = ["statistics.s=1", "statistics.k=200", "statistics.n_max=60", "droplet.N=20"]
 GOLDEN_DIGESTS = [
     ("edge-sim", GOLDEN_EDGE, {
         "edge_sim.csv": "02c62ee15b2b3eca4cca6714ae899ff29fdb81d46a1c4f805e4366a219ff481a",
@@ -527,11 +535,11 @@ GOLDEN_DIGESTS = [
     ("spectrum", [], {
         "spectrum.csv": "70d18e3e89af7521733986b2d8bbf5dca14e2e4e250d89bd2092a128b66279f3",
     }),
-    ("husimi", ["droplet.N=2"], {
-        "husimi.csv": "a7ae712a01f56a1033c4820c9756527811473d7bff578583639f8dd8ddd28258",
+    ("husimi", HUSIMI_FERMIONIC, {
+        "husimi.csv": "9e34d4828b2a8f74baa3b2ae93e2275c1fea25e124a22afab8ae24acbd28fcc6",
     }),
-    ("husimi", ["statistics.s=1", "statistics.k=200", "statistics.n_max=60", "droplet.N=20"], {
-        "husimi.csv": "d7a9fee4233a6ab339b58c762eaccd16b3b9f72d6cf14236451d1e205bdca83f",
+    ("husimi", HUSIMI_BOSONIC, {
+        "husimi.csv": "910f2a24d958e076646f0c49d6ee94b7caad315b26e8606d49b94227824f2adc",
     }),
 ]
 
@@ -543,6 +551,111 @@ def test_data_files_match_golden_digests(tmp_path, command, overrides, digests):
     assert result.returncode == 0, result.stderr
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of the "rho,mean_occupation" columns of each husimi golden file,
+# header included, as written when the profile came from
+# scipy.special.betainc.  These two columns do not involve the incomplete
+# beta function; the value column is compared with betainc itself.
+HUSIMI_GRID_DIGESTS = [
+    (HUSIMI_FERMIONIC, "d42b822bbf6e3e08628ee3dd0505839cd0ca5528fa44838c1eafb37ca2ac1f1d"),
+    (HUSIMI_BOSONIC, "06ced443a02c3bb2fcceb15076abc28833d23173c763e0cbc2ac67c2c3c73780"),
+]
+
+
+@pytest.mark.parametrize("overrides,grid_digest", HUSIMI_GRID_DIGESTS)
+def test_husimi_profile_matches_scipy_betainc(tmp_path, overrides, grid_digest):
+    from scipy.special import betainc
+
+    args = [item for override in overrides for item in ("--set", override)]
+    assert run_in_process("husimi", "--out", str(tmp_path), *args) == 0
+    lines = (tmp_path / "husimi.csv").read_text().splitlines()
+    grid = "".join(",".join(line.split(",")[:2]) + "\n" for line in lines)
+    assert hashlib.sha256(grid.encode()).hexdigest() == grid_digest
+    rows = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    rho, value = rows[:, 0], rows[:, 2]
+    k, cap, s = rows[0, 3:6]
+    if s == 1:
+        expected = betainc(k, cap + 1, 1.0 - rho)
+    else:
+        expected = betainc(k - 1 - cap, cap + 1, 1.0 / (1.0 + rho))
+    np.testing.assert_allclose(value, expected, rtol=0.0, atol=1e-13)
+
+
+# N = 2 far below k: the profile is the Poisson(mu) distribution function at
+# 2, whose median is crossed at mu = 2.6740603.  At these k, 1 - rho rounds
+# to 1, so only rho itself can carry the profile.
+@pytest.mark.parametrize("s", ["-1", "1"])
+@pytest.mark.parametrize("k", ["1e20", "1e300", "8.9e307"])
+def test_husimi_large_k_crosses_at_the_poisson_median(tmp_path, s, k):
+    overrides = ["droplet.N=2", f"statistics.s={s}", f"statistics.k={k}", "statistics.n_max=4"]
+    args = [item for override in overrides for item in ("--set", override)]
+    assert run_in_process("husimi", "--out", str(tmp_path), *args) == 0
+    meta = json.loads((tmp_path / "husimi.json").read_text())
+    assert float(meta["crossing_mean_occupation"]) == pytest.approx(2.6740603, abs=1e-6)
+    assert _numbers_are_finite(tmp_path)
+
+
+def _numbers_are_finite(directory: Path) -> bool:
+    """No nan or inf in any data cell or report value written to ``directory``."""
+    cells = []
+    for path in directory.iterdir():
+        if path.suffix == ".csv":
+            cells += [cell for line in path.read_text().splitlines()[1:] for cell in line.split(",")]
+        else:
+            cells += [value for value in json.loads(path.read_text()).values() if isinstance(value, str)]
+    numbers = []
+    for cell in cells:
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            pass  # a command name, hash or note
+    return bool(np.all(np.isfinite(numbers)))
+
+
+def _husimi_value(draw, key, s, extreme):
+    """One value for ``key`` of a husimi run: small and well formed, or with
+    ``extreme`` a huge, tiny, non-finite or malformed one."""
+    if extreme:
+        return draw(st.sampled_from(
+            ("1e20", "1e300", "8.9e307", "1.7e308", "5e-324", "1000000000000", "100000000000",
+             "-1", "0", "nan", "inf", "", "x", "%")
+        ))
+    if key == "k":
+        return str(draw(st.integers(2, 60))) if s == -1 else repr(draw(st.floats(1.01, 100.0)))
+    if key == "points":
+        return str(draw(st.integers(1, 60)))
+    return str(draw(st.integers(0, 40)))  # N, n_max
+
+
+@st.composite
+def husimi_overrides(draw):
+    """``--set`` items for husimi: a small family and droplet, then a few
+    overrides of their keys, some extreme."""
+    s = draw(st.sampled_from((-1, 1)))
+    r = draw(st.integers(1, 3))
+    keys = {"k": "statistics", "n_max": "statistics", "N": "droplet", "points": "droplet"}
+    items = [f"statistics.s={s}", f"statistics.r={r}"]
+    items += [f"{section}.{key}={_husimi_value(draw, key, s, False)}" for key, section in keys.items()]
+    for key in draw(st.lists(st.sampled_from(sorted(keys)), max_size=3)):
+        items.append(f"{keys[key]}.{key}={_husimi_value(draw, key, s, draw(st.booleans()))}")
+    return items
+
+
+@given(overrides=husimi_overrides())
+# the inputs that once wrote nan, raised, or reported a crossing at 0
+@example(overrides=["droplet.N=2", "statistics.k=1e300"])
+@example(overrides=["droplet.N=2", "statistics.k=1e20"])
+@example(overrides=["droplet.N=2", "droplet.points=100000000000"])
+@example(overrides=["statistics.s=1", "statistics.k=8.9e307", "statistics.n_max=40", "droplet.N=20"])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_husimi_settings_exit_0_1_or_2(overrides):
+    errors = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(errors):
+        code = run_in_process("husimi", "--out", out, *(f"--set={item}" for item in overrides))
+        assert _numbers_are_finite(Path(out))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in errors.getvalue()
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify"])

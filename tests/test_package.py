@@ -1,5 +1,6 @@
 """The package's import contract: the layer modules load on first use, the
-re-exported names resolve, and ``edge-sim`` runs without SciPy."""
+re-exported names resolve, and ``edge-sim`` and ``husimi`` run without
+SciPy."""
 
 import json
 import subprocess
@@ -14,17 +15,22 @@ PKG_ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("algebra", "bargmann", "droplet", "edge", "starprod")
 
 # A fresh interpreter: this test process has long since imported SciPy.
-EDGE_SIM_MODULES = """
+COMMAND_MODULES = """
 import json, sys
 import arstat.cli
-code = arstat.cli.main(["edge-sim", "--out", sys.argv[1]])
+code = arstat.cli.main([*sys.argv[2:], "--out", sys.argv[1]])
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
 
-def test_edge_sim_never_imports_scipy(tmp_path):
+@pytest.mark.parametrize(
+    "args,written",
+    [(["edge-sim"], "edge_sim.csv"), (["husimi", "--set", "droplet.N=2"], "husimi.csv")],
+    ids=["edge-sim", "husimi"],
+)
+def test_command_never_imports_scipy(tmp_path, args, written):
     result = subprocess.run(
-        [sys.executable, "-c", EDGE_SIM_MODULES, str(tmp_path)],
+        [sys.executable, "-c", COMMAND_MODULES, str(tmp_path), *args],
         capture_output=True,
         text=True,
         cwd=PKG_ROOT,
@@ -33,7 +39,7 @@ def test_edge_sim_never_imports_scipy(tmp_path):
     code, scipy_modules = json.loads(result.stdout.splitlines()[-1])
     assert code == 0
     assert scipy_modules == []
-    assert (tmp_path / "edge_sim.csv").is_file()
+    assert (tmp_path / written).is_file()
 
 
 def test_every_exported_name_resolves_to_its_layer():
