@@ -6,12 +6,12 @@ bracket, and the chiral boson theory on the droplet edge.
 
 The five layer modules load on first use.  Importing the package registers
 each of them in ``sys.modules`` behind ``importlib.util.LazyLoader``, so a
-module body (and its numpy or SciPy imports) runs on the first attribute
-access.  ``arstat.algebra``, ``arstat.droplet`` and ``arstat.edge`` import
-only numpy and load SciPy inside the functions that build sparse matrices
-or need ``gammaln``; ``arstat.bargmann`` imports it at module level, and
-``arstat.starprod`` imports ``bargmann``.  The names re-exported here
-resolve through the module ``__getattr__``.
+module body (and its numpy imports) runs on the first attribute access.
+No layer module imports SciPy at module level: each loads it inside the
+functions that build scipy.sparse matrices (the CSR view of the ladders
+among them) or Gauss quadrature rules, and of the commands only ``verify``
+and ``spectrum`` call those.  The names re-exported here resolve through
+the module ``__getattr__``.
 """
 
 
@@ -41,6 +41,7 @@ _EXPORTS = {
         "HamiltonianSpec",
         "LadderOperators",
         "RelationReport",
+        "Shift",
         "StatisticsSpec",
         "enumerate_basis",
         "fermionic_dimension",

@@ -32,6 +32,7 @@ __all__ = [
     "FockBasis",
     "HamiltonianSpec",
     "LadderOperators",
+    "Shift",
     "RelationReport",
     "ResidualNorms",
     "enumerate_basis",
@@ -63,6 +64,19 @@ def _integral(value, name: str, error: type[Exception]) -> int:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _log_gamma(x: float) -> float:
+    """ln |Gamma(x)|, and inf at its poles and where it overflows a double."""
+    try:
+        return math.lgamma(x)
+    except (OverflowError, ValueError):  # ValueError: x a non-positive integer
+        return math.inf
+
+
+def _table(entry, cap: int) -> np.ndarray:
+    # entry(0), ..., entry(cap) as a float array
+    return np.fromiter(map(entry, range(cap + 1)), dtype=float, count=cap + 1)
 
 
 @dataclass(frozen=True)
@@ -207,19 +221,22 @@ class FockBasis:
         C_n^2 = Gamma(k + |n|) / (Gamma(k) prod_i n_i!) for s = +1 and
         Gamma(k) / (Gamma(k - |n|) prod_i n_i!) for s = -1; the scalar
         ``bargmann.log_coefficient`` evaluates the same formula per state.
+        Both log-gamma terms come from tables of length cap + 1, indexed by
+        grade and by occupation; each entry is one ``math.lgamma`` difference,
+        not a running sum, so the error does not accumulate along the grades.
         """
-        from scipy.special import gammaln
-
-        k, n_tot = self.spec.k, self.grades
+        k, cap = self.spec.k, self.spec.total_cap
+        log_gamma_k = _log_gamma(k)
         if self.spec.s == +1:
-            log_ratio = gammaln(k + n_tot) - gammaln(k)
+            log_ratio = _table(lambda g: _log_gamma(k + g) - log_gamma_k, cap)
         else:
-            log_ratio = gammaln(k) - gammaln(k - n_tot)
+            log_ratio = _table(lambda g: log_gamma_k - _log_gamma(k - g), cap)
+        log_factorial = _table(lambda m: _log_gamma(m + 1.0), cap)
         # mode by mode, in the scalar formula's summation order
         log_factorials = np.zeros(self.dim)
-        for column in gammaln(self.occupations + 1).T:
-            log_factorials = log_factorials + column
-        return _read_only(0.5 * log_ratio - 0.5 * log_factorials)
+        for column in self.occupations.T:
+            log_factorials = log_factorials + log_factorial[column]
+        return _read_only(0.5 * log_ratio[self.grades] - 0.5 * log_factorials)
 
     def grade_projector(self, cap: int) -> sparse.csr_matrix:
         """Diagonal projector onto states with total occupancy <= cap."""
@@ -273,42 +290,104 @@ def structure_function(spec: StatisticsSpec, occ: Sequence[int], mode: int) -> f
     return 0.5 * occ[mode] * (2.0 * spec.k - (1 + spec.s) + 2.0 * spec.s * n_tot)
 
 
+@dataclass(frozen=True, eq=False)
+class Shift:
+    """A square matrix with at most one entry per row, as two read-only arrays.
+
+    Row j holds ``weight[j]`` in column ``source[j]``, so
+    ``(op @ v)[j] = weight[j] * v[source[j]]`` for a vector v (row by row
+    for a matrix); a row whose weight is zero holds no entry.  The product of two shifts is a shift and
+    so is a shift divided by a scalar, which makes every monomial in the
+    ladder and number operators one.  Each row's entry is a single product
+    of factors, as in the sparse product of the same matrices.
+    """
+
+    source: np.ndarray
+    weight: np.ndarray
+
+    @classmethod
+    def from_entries(cls, dim: int, rows, cols, values) -> "Shift":
+        """The dim x dim shift holding values[m] at (rows[m], cols[m]); the
+        rows must be distinct."""
+        source, weight = np.arange(dim), np.zeros(dim, dtype=complex)
+        source[rows], weight[rows] = cols, values
+        return cls(_read_only(source), _read_only(weight))
+
+    @classmethod
+    def diagonal(cls, weight) -> "Shift":
+        return cls(_read_only(np.arange(len(weight))), _read_only(np.array(weight, dtype=complex)))
+
+    @classmethod
+    def identity(cls, dim: int) -> "Shift":
+        return cls.diagonal(np.ones(dim))
+
+    def __matmul__(self, other):
+        if isinstance(other, Shift):
+            return Shift(
+                _read_only(other.source[self.source]),
+                _read_only(self.weight * other.weight[self.source]),
+            )
+        other = np.asarray(other)
+        # one weight per row, also when ``other`` is a matrix
+        return self.weight.reshape((-1,) + (1,) * (other.ndim - 1)) * other[self.source]
+
+    def __truediv__(self, scalar) -> "Shift":
+        return Shift(self.source, _read_only(self.weight / scalar))
+
+    def tocsr(self) -> sparse.csr_matrix:
+        """The same matrix in scipy.sparse CSR form."""
+        from scipy import sparse
+
+        rows = np.flatnonzero(self.weight)
+        dim = self.weight.size
+        return sparse.csr_matrix((self.weight[rows], (rows, self.source[rows])), shape=(dim, dim))
+
+
 @dataclass(frozen=True)
 class LadderOperators:
-    """The r annihilation/creation pairs realised on a FockBasis."""
+    """The r annihilation/creation pairs realised on a FockBasis.
+
+    ``lowering[i]`` and ``raising[i]`` are a_i^- and a_i^+ as shifts, the
+    one source of the amplitudes.  ``minus`` and ``plus`` are the same
+    operators as scipy.sparse CSR matrices, built from the shifts on first
+    access.
+    """
 
     basis: FockBasis
-    minus: tuple[sparse.csr_matrix, ...]
-    plus: tuple[sparse.csr_matrix, ...]
+    lowering: tuple[Shift, ...]
+    raising: tuple[Shift, ...]
+
+    @cached_property
+    def minus(self) -> tuple[sparse.csr_matrix, ...]:
+        return tuple(op.tocsr() for op in self.lowering)
+
+    @cached_property
+    def plus(self) -> tuple[sparse.csr_matrix, ...]:
+        return tuple(op.tocsr() for op in self.raising)
 
 
 def ladder_matrices(basis: FockBasis) -> LadderOperators:
-    """Build a_i^- and a_i^+ = (a_i^-)^dagger as sparse matrices.
+    """Build a_i^- and a_i^+ = (a_i^-)^dagger as shifts.
 
-    Each column holds at most one entry.  A raise that would leave the
-    admissible set (past the s=-1 exclusion cap, or past n_max for s=+1)
-    contributes nothing; for s=-1 the amplitude there is exactly zero
-    anyway, so truncation is exact on the whole space.
+    Each row and each column holds at most one entry.  A raise that would
+    leave the admissible set (past the s=-1 exclusion cap, or past n_max
+    for s=+1) contributes nothing; for s=-1 the amplitude there is exactly
+    zero anyway, so truncation is exact on the whole space.
     """
-    from scipy import sparse
-
     spec = basis.spec
     occ = basis.occupations
     # F_i(n) = 0.5 n_i * bracket(n) at each state n, the upper end of its lowering step
     bracket = 2.0 * spec.k - (1 + spec.s) + 2.0 * spec.s * basis.grades
-    minus, plus = [], []
+    lowering, raising = [], []
     for i in range(spec.r):
         cols = np.flatnonzero(occ[:, i])
         lowered = occ[cols].copy()
         lowered[:, i] -= 1
-        amps = np.sqrt(0.5 * occ[cols, i] * bracket[cols])
-        a = sparse.csr_matrix(
-            (amps.astype(complex), (basis.state_indices(lowered), cols)),
-            shape=(basis.dim, basis.dim),
-        )
-        minus.append(a)
-        plus.append(a.conj().T.tocsr())
-    return LadderOperators(basis=basis, minus=tuple(minus), plus=tuple(plus))
+        rows = basis.state_indices(lowered)
+        amps = np.sqrt(0.5 * occ[cols, i] * bracket[cols]).astype(complex)
+        lowering.append(Shift.from_entries(basis.dim, rows, cols, amps))
+        raising.append(Shift.from_entries(basis.dim, cols, rows, amps.conj()))
+    return LadderOperators(basis=basis, lowering=tuple(lowering), raising=tuple(raising))
 
 
 def number_operator(basis: FockBasis, mode: int) -> sparse.csr_matrix:
@@ -464,13 +543,20 @@ def hamiltonian(basis: FockBasis, hspec: HamiltonianSpec) -> sparse.csr_matrix:
 
 
 def occupation_energies(basis: FockBasis, hspec: HamiltonianSpec) -> np.ndarray:
-    """e0 + sum_i e_i n_i for every basis state, in basis order."""
+    """e0 + sum_i e_i n_i for every basis state, in basis order.
+
+    Finite energies whose sum overflows double precision raise InvalidSpec.
+    """
     if len(hspec.e) != basis.spec.r:
         raise InvalidSpec(f"need {basis.spec.r} mode energies, got {len(hspec.e)}")
     total = np.zeros(basis.dim)
-    for e_i, n_i in zip(hspec.e, basis.occupations.T):
-        total = total + e_i * n_i
-    return hspec.e0 + total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e_i, n_i in zip(hspec.e, basis.occupations.T):
+            total = total + e_i * n_i
+        energies = hspec.e0 + total
+    if not np.all(np.isfinite(energies)):
+        raise InvalidSpec("the occupation energies e0 + sum_i e_i n_i overflow double precision")
+    return energies
 
 
 def hamiltonian_from_commutators(

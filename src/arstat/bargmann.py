@@ -20,10 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import gammaln, roots_jacobi, roots_legendre
 
-from .algebra import FockBasis, LadderOperators, StatisticsSpec, ladder_matrices
+from .algebra import FockBasis, LadderOperators, StatisticsSpec, _log_gamma, ladder_matrices
 from .errors import DomainError, InvalidSpec, TailError, TruncationError
 
 __all__ = [
@@ -73,10 +71,10 @@ def log_coefficient(spec: StatisticsSpec, occ) -> float:
     """ln C_n for one occupation; ``FockBasis.log_coefficients`` holds a whole basis."""
     n_tot = sum(occ)
     if spec.s == +1:
-        log_ratio = gammaln(spec.k + n_tot) - gammaln(spec.k)
+        log_ratio = _log_gamma(spec.k + n_tot) - _log_gamma(spec.k)
     else:
-        log_ratio = gammaln(spec.k) - gammaln(spec.k - n_tot)
-    return 0.5 * log_ratio - 0.5 * sum(gammaln(n + 1) for n in occ)
+        log_ratio = _log_gamma(spec.k) - _log_gamma(spec.k - n_tot)
+    return 0.5 * log_ratio - 0.5 * sum(_log_gamma(n + 1) for n in occ)
 
 
 def coefficient(spec: StatisticsSpec, occ) -> float:
@@ -106,7 +104,7 @@ def bosonic_tail_bound(spec: StatisticsSpec, rho: float, n_max: int) -> float:
     n1 = n_max + 1
     log_t = (
         spec.k * math.log1p(-rho)
-        + gammaln(spec.k + n1) - gammaln(spec.k) - gammaln(n1 + 1)
+        + _log_gamma(spec.k + n1) - _log_gamma(spec.k) - _log_gamma(n1 + 1)
         + n1 * math.log(rho)
     )
     q = rho * (spec.k + n1) / (n1 + 1)
@@ -331,10 +329,10 @@ def measure_normalization(spec: StatisticsSpec) -> NormalizationInfo:
     if s == +1:
         if not k > r:
             raise InvalidSpec(f"bosonic measure needs k > r, got k={k}, r={r}")
-        analytic = math.exp(gammaln(k) - gammaln(k - r))
+        analytic = math.exp(_log_gamma(k) - _log_gamma(k - r))
     else:
-        analytic = math.exp(gammaln(k + r) - gammaln(k))
-    quoted = math.exp(s * (gammaln(k) - gammaln(k - s * r + (s - 1) / 2.0 + 1)))
+        analytic = math.exp(_log_gamma(k + r) - _log_gamma(k))
+    quoted = math.exp(s * (_log_gamma(k) - _log_gamma(k - s * r + (s - 1) / 2.0 + 1)))
     return NormalizationInfo(analytic=analytic, quoted=quoted)
 
 
@@ -400,12 +398,16 @@ def _tensor_grid(per_mode: list[tuple[np.ndarray, np.ndarray]]):
 
 def _jacobi_unit_interval(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     # nodes/weights for integral_0^1 f(t) (1-t)^alpha dt
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(n, alpha, 0.0)
     t = (x + 1.0) / 2.0
     return t, w * 2.0 ** (-alpha - 1.0)
 
 
 def _legendre_unit_interval(n: int) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(n)
     return (x + 1.0) / 2.0, w / 2.0
 
@@ -589,6 +591,8 @@ def differential_realization_check(
     the image back to Fock amplitudes must reproduce the matrix columns
     entrywise on states with total occupancy <= n_cap.
     """
+    from scipy import sparse
+
     if n_cap > spec.total_cap:
         raise InvalidSpec(f"n_cap {n_cap} exceeds the basis cap {spec.total_cap}")
     if ladders is None:

@@ -94,7 +94,8 @@ EDGE_SAMPLE_LIMIT = 2**24
 HUSIMI_POINT_LIMIT = 2**20
 
 # star-convergence builds one basis and its ladders per k.  The r=2
-# commuting_numbers sweep to k=1280 (820,440 states) peaks at about 300 MiB
+# commuting_numbers sweep to k=1280 (820,440 states) takes about 1.9 s and
+# peaks at about 270 MiB; see _sweep_too_large for bases of more than two modes
 SWEEP_DIM_LIMIT = 2**21
 
 
@@ -207,6 +208,22 @@ def statistics_spec(cfg: RunConfig) -> algebra.StatisticsSpec:
     if s == +1 and n_max is None:
         raise ConfigError("missing required field [statistics] n_max (bosonic family)")
     return algebra.StatisticsSpec(r=r, s=s, k=k, n_max=n_max)
+
+
+def _sweep_too_large(spec: algebra.StatisticsSpec) -> bool:
+    """Whether one sweep basis exceeds SWEEP_DIM_LIMIT two-mode states.
+
+    Enumerating a basis and its ladders takes time that grows like
+    dim * r^2, so a basis of r > 2 modes counts as dim * (r/2)^2 states.
+    dim = C(cap + r, r) is at least cap + r when cap >= 1 and is 1 when
+    cap = 0; that bound settles a huge cap or r before ``math.comb``, which
+    would not finish on two huge arguments.
+    """
+    cap, weight = spec.total_cap, max(spec.r, 2) ** 2
+    least = cap + spec.r if cap >= 1 else 1
+    if least * weight > 4 * SWEEP_DIM_LIMIT:
+        return True
+    return algebra.basis_dimension(spec) * weight > 4 * SWEEP_DIM_LIMIT
 
 
 def dense_statistics_spec(cfg: RunConfig) -> algebra.StatisticsSpec:
@@ -502,7 +519,7 @@ def cmd_husimi(cfg: RunConfig) -> int:
 def cmd_star_convergence(cfg: RunConfig) -> int:
     # the sweep carries its own family block: it rebuilds the spec at
     # every k and is usually run single-mode
-    r = cfg.get("sweep", "r", int)
+    r = cfg.get_count("sweep", "r", 1)
     s = cfg.get("sweep", "s", int)
     if s not in (-1, +1):
         raise ConfigError("[sweep] s must be +1 or -1")
@@ -514,6 +531,19 @@ def cmd_star_convergence(cfg: RunConfig) -> int:
     pair_name = cfg.get("sweep", "pair", str)
     pair = starprod.standard_pair(pair_name)
     sweep_n_max = cfg.get("sweep", "n_max", int)
+
+    def build_spec(k):
+        # k unchanged: a fermionic label that is not an integer is refused
+        if s == -1:
+            return algebra.StatisticsSpec(r=r, s=-1, k=k)
+        return algebra.StatisticsSpec(r=r, s=+1, k=k, n_max=sweep_n_max)
+
+    for k in k_values:
+        if _sweep_too_large(build_spec(k)):
+            raise SizeError(
+                f"[sweep] k = {k:g} needs a basis of more than {SWEEP_DIM_LIMIT} "
+                "two-mode states (one of r > 2 modes counts (r/2)^2 times its states)"
+            )
 
     groups = cfg.get("sweep", "points", _parse_complex_groups, required=False)
     if groups is None:
@@ -528,17 +558,14 @@ def cmd_star_convergence(cfg: RunConfig) -> int:
         if not points or any(p.shape != (r,) for p in points):
             raise ConfigError(f"[sweep] points must be one or more groups of {r} components")
 
-    def build_spec(k):
-        if s == -1:
-            return algebra.StatisticsSpec(r=r, s=-1, k=int(k))
-        return algebra.StatisticsSpec(r=r, s=+1, k=float(k), n_max=sweep_n_max)
-
-    for k in k_values:
-        if algebra.basis_dimension(build_spec(k)) > SWEEP_DIM_LIMIT:
-            raise SizeError(
-                f"[sweep] k = {k:g} needs a basis of more than {SWEEP_DIM_LIMIT} states"
-            )
-    study = starprod.convergence_study(k_values, build_spec, pair, points)
+    # A finite label can still overflow double precision: kappa^2 and kappa^3
+    # scale the pairs, and the ladder amplitudes grow like sqrt(k n).  The
+    # inf or nan that would follow is refused.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            study = starprod.convergence_study(k_values, build_spec, pair, points)
+    except (FloatingPointError, OverflowError) as exc:
+        raise ConfigError(f"[sweep] the sweep overflows double precision ({exc})") from None
 
     write_csv(
         cfg,

@@ -36,10 +36,10 @@ import numpy as np
 from .algebra import (
     FockBasis,
     LadderOperators,
+    Shift,
     StatisticsSpec,
     enumerate_basis,
     ladder_matrices,
-    number_operator,
 )
 from .bargmann import QuadratureRule, coherent_vector, coherent_amplitude_matrix, integrate, metric
 from .errors import ArstatError, InvalidSpec
@@ -105,7 +105,7 @@ def _operator_jet(op, ladders: LadderOperators, v: np.ndarray) -> tuple[complex,
     """
     av = op @ v
     value = complex(np.vdot(v, av))
-    raised = [up @ v for up in ladders.plus]
+    raised = [up @ v for up in ladders.raising]
     grad_z = np.array([np.vdot(v, op @ u) - value * np.vdot(v, u) for u in raised])
     grad_zbar = np.array([np.vdot(u, av) - value * np.vdot(u, v) for u in raised])
     grad_z.flags.writeable = False
@@ -181,8 +181,8 @@ def _first_order_remainders(a, b, ladders: LadderOperators, z) -> tuple[float, f
     """Star-product and star-commutator remainders at z, from one coherent vector.
 
     With v the coherent vector at z, the exact star product is the symbol
-    of AB, <A^+ v|B v>, and the exact commutator symbol is that minus
-    <B^+ v|A v>; the jets of A and B come from the same v.
+    of AB, <v|A (B v)>, and the exact commutator symbol is that minus
+    <v|B (A v)>; the jets of A and B come from the same v.
     """
     basis = ladders.basis
     z = np.asarray(z, dtype=complex)
@@ -190,8 +190,8 @@ def _first_order_remainders(a, b, ladders: LadderOperators, z) -> tuple[float, f
     jet_a = _operator_jet(a, ladders, v)
     jet_b = _operator_jet(b, ladders, v)
     m = metric(basis.spec, z)
-    star = complex(np.vdot(a.conj().T @ v, b @ v))
-    commutator = star - complex(np.vdot(b.conj().T @ v, a @ v))
+    star = complex(np.vdot(v, a @ (b @ v)))
+    commutator = star - complex(np.vdot(v, b @ (a @ v)))
     return (
         abs(star - _star_first_order(jet_a, jet_b, m)),
         abs(commutator - _moyal_bracket(jet_a, jet_b, m)),
@@ -279,25 +279,29 @@ def convergence_study(
     )
 
 
+def _number(basis, mode):
+    return Shift.diagonal(basis.occupations[:, mode])
+
+
 def _pair_raise_sq_lower_sq(basis, ladders):
     kappa = basis.spec.kappa
-    up = ladders.plus[0]
-    dn = ladders.minus[0]
+    up = ladders.raising[0]
+    dn = ladders.lowering[0]
     return (up @ up) / kappa**2, (dn @ dn) / kappa**2
 
 
 def _pair_number_sq_lower_sq(basis, ladders):
     kappa = basis.spec.kappa
-    n = number_operator(basis, 0)
-    dn = ladders.minus[0]
+    n = _number(basis, 0)
+    dn = ladders.lowering[0]
     return (n @ n) / kappa**2, (dn @ dn) / kappa**2
 
 
 def _pair_number_raise_sq_lower_sq(basis, ladders):
     kappa = basis.spec.kappa
-    n = number_operator(basis, 0)
-    up = ladders.plus[0]
-    dn = ladders.minus[0]
+    n = _number(basis, 0)
+    up = ladders.raising[0]
+    dn = ladders.lowering[0]
     return (n @ up @ up) / kappa**3, (dn @ dn) / kappa**2
 
 
@@ -305,22 +309,18 @@ def _pair_commuting_numbers(basis, ladders):
     if basis.spec.r < 2:
         raise InvalidSpec("the commuting-number pair needs r >= 2")
     kappa = basis.spec.kappa
-    return (
-        number_operator(basis, 0) / kappa,
-        number_operator(basis, 1) / kappa,
-    )
+    return _number(basis, 0) / kappa, _number(basis, 1) / kappa
 
 
 def _pair_identity(basis, ladders):
-    from scipy import sparse
-
-    eye = sparse.identity(basis.dim, dtype=complex, format="csr")
+    eye = Shift.identity(basis.dim)
     return eye, eye
 
 
-#: Scale-normalized operator pairs for remainder studies.  The first three
-#: are non-commuting with genuinely nonzero 1/k^2 remainders; the last two
-#: are degenerate controls (identically vanishing errors).
+#: Scale-normalized operator pairs for remainder studies, each built as two
+#: ``Shift`` operators.  The first three are non-commuting with genuinely
+#: nonzero 1/k^2 remainders; the last two are degenerate controls
+#: (identically vanishing errors).
 STANDARD_PAIRS = {
     "raise_sq_lower_sq": _pair_raise_sq_lower_sq,
     "number_sq_lower_sq": _pair_number_sq_lower_sq,

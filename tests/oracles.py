@@ -4,7 +4,7 @@ Everything here is deliberately written by a different route than the
 library code it checks: brute-force enumeration, log-space series with
 Kahan compensation, raw Dirichlet/Beta integrals via scipy, dense
 singular-value 2-norms, central-difference derivatives, a CSV joined
-row by row in memory.
+row by row in memory, ladders assembled as scipy.sparse matrices.
 """
 
 import itertools
@@ -46,6 +46,50 @@ def ladder_chain_coefficient(s, k, occ):
             f = 0.5 * partial[i] * (2 * k - (1 + s) + 2 * s * total)
             log_amp += 0.5 * math.log(f)
     return math.exp(log_raise - log_amp)
+
+
+def sparse_ladders(basis):
+    """(minus, plus): a_i^- assembled from (row, column, amplitude) triplets
+    into scipy.sparse CSR, and a_i^+ as its conjugate transpose."""
+    from scipy import sparse
+
+    spec = basis.spec
+    occ = basis.occupations
+    bracket = 2.0 * spec.k - (1 + spec.s) + 2.0 * spec.s * basis.grades
+    minus, plus = [], []
+    for i in range(spec.r):
+        cols = np.flatnonzero(occ[:, i])
+        lowered = occ[cols].copy()
+        lowered[:, i] -= 1
+        amps = np.sqrt(0.5 * occ[cols, i] * bracket[cols])
+        a = sparse.csr_matrix(
+            (amps.astype(complex), (basis.state_indices(lowered), cols)),
+            shape=(basis.dim, basis.dim),
+        )
+        minus.append(a)
+        plus.append(a.conj().T.tocsr())
+    return tuple(minus), tuple(plus)
+
+
+def sparse_standard_pairs(basis):
+    """The operator pairs of ``starprod.STANDARD_PAIRS`` as scipy.sparse
+    products of the sparse ladders, number operators and identity."""
+    from scipy import sparse
+
+    minus, plus = sparse_ladders(basis)
+    kappa = basis.spec.kappa
+    numbers = [sparse.diags(basis.occupations[:, i].astype(complex)).tocsr() for i in range(basis.spec.r)]
+    up, dn, n = plus[0], minus[0], numbers[0]
+    eye = sparse.identity(basis.dim, dtype=complex, format="csr")
+    pairs = {
+        "raise_sq_lower_sq": ((up @ up) / kappa**2, (dn @ dn) / kappa**2),
+        "number_sq_lower_sq": ((n @ n) / kappa**2, (dn @ dn) / kappa**2),
+        "number_raise_sq_lower_sq": ((n @ up @ up) / kappa**3, (dn @ dn) / kappa**2),
+        "identity": (eye, eye),
+    }
+    if basis.spec.r >= 2:
+        pairs["commuting_numbers"] = (numbers[0] / kappa, numbers[1] / kappa)
+    return pairs
 
 
 def fd_gradients(fn, z, h=1e-5):

@@ -18,6 +18,7 @@ from arstat.algebra import (
     ladder_matrices,
     large_k_commutator_deviation,
     number_operator,
+    occupation_energies,
     structure_function,
     verify_triple_relations,
 )
@@ -28,8 +29,9 @@ from oracles import (
     dense_commutator_deviation,
     dense_triple_residual_norm,
     ladder_chain_coefficient,
+    sparse_ladders,
 )
-from test_basis_cache import _with_entry
+from test_basis_cache import SHIFTS, _with_entry
 
 
 # ---------------------------------------------------------------- specs
@@ -312,8 +314,9 @@ def test_triple_relations_hold_on_interior(spec):
 def _scaled(ladders, which, mode, row_occ, col_occ, factor):
     basis = ladders.basis
     row, col = basis.state_index(row_occ), basis.state_index(col_occ)
-    value = getattr(ladders, which)[mode][row, col].real * factor
-    return _with_entry(ladders, which, mode, row, col, value)
+    shift = getattr(ladders, SHIFTS[which])[mode]
+    assert shift.source[row] == col
+    return _with_entry(ladders, which, mode, row, col, shift.weight[row].real * factor)
 
 
 @pytest.mark.parametrize(
@@ -341,11 +344,14 @@ def test_triple_check_catches_a_one_percent_amplitude_error(spec, which, mode, r
 def test_triple_check_ignores_the_truncated_top_layer():
     # a_i^+ has no admissible raise out of the top layer, so its columns
     # there are empty; the check restricts to total occupancy <= n_max - 2
-    # and must not see what sits in them
+    # and must not see what sits in them.  The stray entry goes in a row
+    # that a_0^+ leaves empty (n_0 = 0), as a shift holds one entry per row.
     spec = StatisticsSpec(r=2, s=+1, k=3.0, n_max=5)
     basis = enumerate_basis(spec)
     ladders = ladder_matrices(basis)
-    stray = _with_entry(ladders, "plus", 0, basis.state_index((4, 0)), basis.state_index((5, 0)), 0.5)
+    row = basis.state_index((0, 4))
+    assert ladders.raising[0].weight[row] == 0.0
+    stray = _with_entry(ladders, "plus", 0, row, basis.state_index((5, 0)), 0.5)
     report = verify_triple_relations(basis, stray)
     assert report.interior_cap == 3
     assert report.max_residual < 1e-12
@@ -384,6 +390,40 @@ def test_single_mode_triple_contraction(s):
     assert np.max(np.abs((lhs + 2 * s * ap) @ proj)) < 1e-12
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize(
+    "s,k,n_max", [(-1, 7, None), (+1, 3.5, 6)], ids=["fermionic", "bosonic"]
+)
+def test_csr_views_are_bitwise_the_sparse_assembly(s, k, n_max, r):
+    basis = enumerate_basis(StatisticsSpec(r=r, s=s, k=k, n_max=n_max))
+    ladders = ladder_matrices(basis)
+    assert "minus" not in vars(ladders) and "plus" not in vars(ladders)  # built on first access
+    for views, reference in zip((ladders.minus, ladders.plus), sparse_ladders(basis)):
+        for view, expected in zip(views, reference):
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(view, name), getattr(expected, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert ladders.minus is ladders.minus and ladders.plus is ladders.plus
+
+
+def test_shift_products_and_quotients_match_the_sparse_ones():
+    basis = enumerate_basis(StatisticsSpec(r=2, s=+1, k=2.5, n_max=6))
+    ladders = ladder_matrices(basis)
+    up, dn = ladders.raising[1], ladders.lowering[0]
+    for shift in (up @ dn, dn @ up @ up, (up @ up) / 3.0):
+        assert not shift.source.flags.writeable and not shift.weight.flags.writeable
+    pairs = [(up @ dn, ladders.plus[1] @ ladders.minus[0]),
+             (dn @ up @ up, ladders.minus[0] @ ladders.plus[1] @ ladders.plus[1]),
+             ((up @ up) / 3.0, (ladders.plus[1] @ ladders.plus[1]) / 3.0)]
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    block = rng.normal(size=(basis.dim, 3)) + 1j * rng.normal(size=(basis.dim, 3))
+    for shift, matrix in pairs:
+        assert np.array_equal(shift.tocsr().toarray(), matrix.toarray())
+        assert np.array_equal(shift @ v, matrix @ v)
+        assert np.array_equal(shift @ block, matrix @ block)
+
+
 # ----------------------------------------------------------- Hamiltonian
 
 def test_hamiltonian_worked_example_fermionic():
@@ -406,6 +446,17 @@ def test_hamiltonian_worked_example_bosonic():
     # derived path: commutator assembly gives the same diagonal there
     h_comm = hamiltonian_from_commutators(basis, hspec).toarray()
     assert h_comm[idx, idx] == pytest.approx(2.5)
+
+
+def test_occupation_energies_refuse_an_overflowing_sum():
+    basis = enumerate_basis(StatisticsSpec(r=2, s=-1, k=3))  # occupations up to 2
+    for energies in [(1e308, 1e308), (1e308, -1e308), (1.7e308, 0.0)]:
+        with pytest.raises(InvalidSpec, match="overflow"):
+            occupation_energies(basis, HamiltonianSpec(e0=0.0, e=energies))
+        with pytest.raises(InvalidSpec, match="overflow"):
+            hamiltonian(basis, HamiltonianSpec(e0=0.0, e=energies))
+    near = occupation_energies(basis, HamiltonianSpec(e0=0.0, e=(8e307, 8e307)))
+    assert np.isfinite(near).all() and near.max() == pytest.approx(1.6e308)
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 """The per-basis arrays cached on FockBasis and the consumers that read them."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-import scipy.special
-from scipy import sparse
 
+import arstat.algebra
 import arstat.bargmann
-from arstat.algebra import LadderOperators, StatisticsSpec, enumerate_basis, ladder_matrices
+from arstat.algebra import LadderOperators, Shift, StatisticsSpec, enumerate_basis, ladder_matrices
 from arstat.bargmann import coherent_vector, differential_realization_check, log_coefficient
 
 CACHE_SPECS = [
@@ -55,8 +56,8 @@ def test_cache_does_not_change_basis_equality():
 def test_coherent_vector_builds_coefficients_once_per_basis(monkeypatch):
     scalar_calls, gammaln_calls = [], []
     scalar = arstat.bargmann.log_coefficient
-    # algebra imports gammaln from scipy.special when it first needs it
-    gammaln = scipy.special.gammaln
+    # the cached table reads every log-gamma value through algebra's helper
+    log_gamma = arstat.algebra._log_gamma
 
     def counting_scalar(*args):
         scalar_calls.append(args)
@@ -64,10 +65,10 @@ def test_coherent_vector_builds_coefficients_once_per_basis(monkeypatch):
 
     def counting_gammaln(x):
         gammaln_calls.append(x)
-        return gammaln(x)
+        return log_gamma(x)
 
     monkeypatch.setattr(arstat.bargmann, "log_coefficient", counting_scalar)
-    monkeypatch.setattr(scipy.special, "gammaln", counting_gammaln)
+    monkeypatch.setattr(arstat.algebra, "_log_gamma", counting_gammaln)
     spec = StatisticsSpec(r=2, s=-1, k=12)
     basis = enumerate_basis(spec)
     first = coherent_vector(spec, basis, [0.3 + 0.1j, -0.2j])
@@ -85,16 +86,19 @@ def test_coherent_vector_builds_coefficients_once_per_basis(monkeypatch):
     np.testing.assert_allclose(first.amplitudes, expected, rtol=1e-13)
 
 
+# the shifts each CSR view of LadderOperators is built from
+SHIFTS = {"minus": "lowering", "plus": "raising"}
+
+
 def _with_entry(ladders: LadderOperators, which: str, mode: int, row: int, col: int, value: float):
-    ops = list(getattr(ladders, which))
-    bumped = ops[mode].tolil()
-    bumped[row, col] = value
-    ops[mode] = sparse.csr_matrix(bumped)
-    return LadderOperators(
-        basis=ladders.basis,
-        minus=tuple(ops) if which == "minus" else ladders.minus,
-        plus=tuple(ops) if which == "plus" else ladders.plus,
-    )
+    """The ladders with row ``row`` of a_mode^- (``which="minus"``) or
+    a_mode^+ (``"plus"``) holding ``value`` in column ``col``, set in the
+    shift's arrays; the row's previous entry, if any, is replaced."""
+    ops = list(getattr(ladders, SHIFTS[which]))
+    source, weight = ops[mode].source.copy(), ops[mode].weight.copy()
+    source[row], weight[row] = col, value
+    ops[mode] = Shift(source, weight)
+    return dataclasses.replace(ladders, **{SHIFTS[which]: tuple(ops)})
 
 
 def test_differential_check_catches_a_wrong_amplitude():
@@ -102,7 +106,8 @@ def test_differential_check_catches_a_wrong_amplitude():
     basis = enumerate_basis(spec)
     ladders = ladder_matrices(basis)
     row, col = basis.state_index((0, 1)), basis.state_index((1, 1))
-    wrong = ladders.minus[0][row, col].real * 1.01
+    assert ladders.lowering[0].source[row] == col
+    wrong = ladders.lowering[0].weight[row].real * 1.01
     report = differential_realization_check(spec, basis, 4, _with_entry(ladders, "minus", 0, row, col, wrong))
     assert report.lower_residual > 1e-3
     assert report.raise_residual < 1e-12
@@ -114,8 +119,28 @@ def test_differential_check_catches_a_stray_entry_past_the_cap():
     basis = enumerate_basis(spec)
     ladders = ladder_matrices(basis)
     top = basis.state_index((3, 0))
+    # the vacuum row of a raiser is empty, so the stray entry is its one entry
+    assert ladders.raising[1].weight[0] == 0.0
     report = differential_realization_check(spec, basis, 3, _with_entry(ladders, "plus", 1, 0, top, 0.5))
     assert report.raise_residual == pytest.approx(0.5)
     # columns above n_cap are not compared
     report = differential_realization_check(spec, basis, 2, _with_entry(ladders, "plus", 1, 0, top, 0.5))
     assert report.max_residual < 1e-12
+
+
+def test_log_coefficients_against_40_digit_references():
+    # each table entry is one lgamma difference: 2.7e-12 at most here, where
+    # scipy's gammaln gave 4.1e-12 and cumulative sums of ln(k - m) and ln m
+    # gave 1.9e-11
+    mpmath = pytest.importorskip("mpmath")
+    spec = StatisticsSpec(r=1, s=-1, k=2560)
+    basis = enumerate_basis(spec)
+    with mpmath.workdps(40):
+        k = mpmath.mpf(spec.k)
+        exact = [
+            0.5 * (mpmath.loggamma(k) - mpmath.loggamma(k - n) - mpmath.loggamma(n + 1))
+            for n in range(basis.dim)
+        ]
+        error = max(abs(mpmath.mpf(float(c)) - e) for c, e in zip(basis.log_coefficients, exact))
+    assert basis.occupations[:, 0].tolist() == list(range(basis.dim))
+    assert float(error) <= 4.1e-12

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from arstat import cli
+from arstat import algebra, cli
+from arstat.errors import InvalidSpec
+from arstat.starprod import STANDARD_PAIRS
 from oracles import edge_csv_reference
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
@@ -130,6 +132,14 @@ def test_star_convergence_needs_three_k(tmp_path):
                      "--set", "sweep.k_values=20, 40")
     assert result.returncode == 2
     assert "at least 3" in result.stderr
+
+
+def test_star_convergence_refuses_a_fractional_fermionic_label(tmp_path):
+    # the sweep once truncated k = 20.5 to 20 and wrote 20.5 in the CSV
+    result = run_cli("star-convergence", "--out", str(tmp_path), "--set", "sweep.k_values=20.5,40,80")
+    assert result.returncode == 2
+    assert result.stderr == "error: fermionic family needs integer k, got 20.5\n"
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
 def test_star_convergence_commuting_pair_degenerate_notice(tmp_path):
@@ -322,6 +332,15 @@ RESOLVED_EDGE = [
         ("star-convergence", ["sweep.s=1", "sweep.n_max=1000000000000"]),
         # a label whose scale kappa = (2k + s - 1)/2 overflows
         ("husimi", ["droplet.N=2", "statistics.k=1.7e308"]),
+        # sweep mode counts refused before any array is allocated
+        ("star-convergence", ["sweep.r=1000000000000", "sweep.k_values=20,40,1e300"]),
+        ("star-convergence", ["sweep.r=1000000000000", "sweep.s=1", "sweep.n_max=0"]),
+        # a fermionic label must be an integer
+        ("star-convergence", ["sweep.k_values=20.5,40,80"]),
+        ("star-convergence", ["sweep.r=0"]),
+        # occupation energies that overflow double precision
+        ("spectrum", ["hamiltonian.e=1e308,1e308"]),
+        ("verify", ["hamiltonian.e=1e308,1e308"]),
     ],
 )
 def test_config_shaped_values_exit_two(tmp_path, command, overrides):
@@ -676,8 +695,17 @@ def test_threads_option_is_gone(tmp_path):
     assert "--threads" in result.stderr
 
 
-# Recorded with exact symbol gradients.
+# Recorded with exact symbol gradients and log coefficients from math.lgamma.
 STAR_GOLDEN = [
+    (6.0, 1.2551328285898868e-05, 0.037192064985859141),
+    (8.0, 6.8611488443365287e-06, 0.020330939314427338),
+    (10.0, 4.3042963943536183e-06, 0.012754480447825445),
+]
+
+# The same run with log coefficients from scipy.special.gammaln.  They differ
+# in their last bits, which moved each remainder, a difference of symbols of
+# order 0.1, by at most 4.2e-17 (the star remainders by 1.2e-12 relative).
+STAR_GAMMALN_GOLDEN = [
     (6.0, 1.2551328285903204e-05, 0.0371920649858591),
     (8.0, 6.8611488443339266e-06, 0.020330939314427334),
     (10.0, 4.3042963943484142e-06, 0.012754480447825466),
@@ -705,8 +733,9 @@ def test_star_convergence_golden_values(tmp_path):
     assert lines[0] == "k,err_star_first_order,err_moyal_bracket"
     rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
     assert len(rows) == len(STAR_GOLDEN)
-    for row, golden, fd_golden in zip(rows, STAR_GOLDEN, STAR_FD_GOLDEN):
+    for row, golden, gammaln_golden, fd_golden in zip(rows, STAR_GOLDEN, STAR_GAMMALN_GOLDEN, STAR_FD_GOLDEN):
         assert row == pytest.approx(golden, rel=1e-12, abs=0.0)
+        assert row == pytest.approx(gammaln_golden, rel=0.0, abs=1e-16)
         assert row == pytest.approx(fd_golden, rel=1e-8, abs=0.0)
 
 
@@ -750,3 +779,92 @@ def test_star_convergence_past_coefficient_overflow(tmp_path, points):
     for label in ("star_fit", "bracket_fit"):
         assert meta[label]["degenerate"] is False
         assert -2.3 <= float(meta[label]["slope"]) <= -1.7
+
+
+# Values that are huge, tiny, non-finite, fractional or malformed for any
+# [sweep] key; each list key also gets them as one entry among small ones.
+SWEEP_EXTREMES = ("1e300", "8.9e307", "1.7e308", "5e-324", "1000000000000", "20.5",
+                  "-1", "0", "nan", "inf", "", "x", "%", ";")
+
+
+def _sweep_value(draw, key, s, r, extreme):
+    """One value for ``[sweep] key`` of a sweep with sign s on r modes: small
+    and well formed (r <= 2, k <= 40, n_max <= 30), or with ``extreme`` one
+    of SWEEP_EXTREMES, alone or inside a list."""
+    if extreme and (key not in ("k_values", "points") or draw(st.booleans())):
+        return draw(st.sampled_from(SWEEP_EXTREMES))
+    if key == "k_values":
+        if s == -1 and not extreme:
+            ks = draw(st.lists(st.integers(2, 40), min_size=3, max_size=4, unique=True))
+        else:
+            ks = draw(st.lists(st.floats(1.01, 40.0), min_size=3, max_size=4, unique=True))
+        cells = [repr(k) for k in sorted(ks)]
+        if extreme:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(SWEEP_EXTREMES))
+        return ",".join(cells)
+    if key == "points":
+        scale = 0.45 if s == -1 else 0.3 / r
+        number = st.complex_numbers(max_magnitude=scale).map(str)
+        if extreme:
+            number = st.sampled_from(SWEEP_EXTREMES) | number
+        groups = draw(st.lists(st.lists(number, min_size=r, max_size=r), min_size=1, max_size=2))
+        return ";".join(",".join(group) for group in groups)
+    if key == "pair":
+        return draw(st.sampled_from(sorted(STANDARD_PAIRS)))
+    if key == "r":
+        return str(draw(st.integers(1, 2)))
+    if key == "s":
+        return draw(st.sampled_from(("-1", "1")))
+    return str(draw(st.integers(0, 30)))  # n_max
+
+
+@st.composite
+def sweep_overrides(draw):
+    """``--set`` items for star-convergence: a small sweep, then a few
+    overrides of any [sweep] key, some extreme."""
+    s = draw(st.sampled_from((-1, 1)))
+    r = draw(st.integers(1, 2))
+    items = [f"sweep.s={s}", f"sweep.r={r}",
+             f"sweep.k_values={_sweep_value(draw, 'k_values', s, r, False)}",
+             f"sweep.n_max={_sweep_value(draw, 'n_max', s, r, False)}",
+             f"sweep.pair={_sweep_value(draw, 'pair', s, r, False)}"]
+    keys = st.sampled_from(("r", "s", "k_values", "n_max", "pair", "points"))
+    for key in draw(st.lists(keys, max_size=3)):
+        items.append(f"sweep.{key}={_sweep_value(draw, key, s, r, draw(st.booleans()))}")
+    return items
+
+
+def _inadmissible_sweep_labels(out: Path, args: list[str]) -> list[float]:
+    """The k values of a written sweep CSV that its family does not admit."""
+    path = out / "star_convergence.csv"
+    if not path.exists():
+        return []
+    cfg = cli.load_config(cli.build_parser().parse_args(["star-convergence", *args]))
+    r, s, n_max = (cfg.get("sweep", key, int) for key in ("r", "s", "n_max"))
+    rejected = []
+    for line in path.read_text().splitlines()[1:]:
+        k = float(line.split(",")[0])
+        try:
+            algebra.StatisticsSpec(r=r, s=s, k=k, n_max=n_max if s == 1 else None)
+        except InvalidSpec:
+            rejected.append(k)
+    return rejected
+
+
+@given(overrides=sweep_overrides())
+# a fractional fermionic label, once computed at its integer part and
+# written unchanged; then sizes and mode counts refused before any work
+@example(overrides=["sweep.k_values=20.5,40,80"])
+@example(overrides=["sweep.r=1000000000000", "sweep.s=1", "sweep.n_max=0"])
+@example(overrides=["sweep.r=0"])
+@example(overrides=["sweep.s=1", "sweep.k_values=1e300,1e301,1e302", "sweep.points=0"])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_star_convergence_settings_exit_0_1_or_2(overrides):
+    args = [f"--set={item}" for item in overrides]
+    errors = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(errors):
+        code = run_in_process("star-convergence", "--out", out, *args)
+        assert _numbers_are_finite(Path(out))
+        assert _inadmissible_sweep_labels(Path(out), args) == []
+    assert code in (0, 1, 2)
+    assert "Traceback" not in errors.getvalue()

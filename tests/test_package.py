@@ -1,6 +1,6 @@
 """The package's import contract: the layer modules load on first use, the
-re-exported names resolve, and ``edge-sim`` and ``husimi`` run without
-SciPy."""
+re-exported names resolve, and ``edge-sim``, ``husimi`` and
+``star-convergence`` run without SciPy."""
 
 import json
 import subprocess
@@ -23,10 +23,27 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 """
 
 
+def _star(*overrides):
+    return ["star-convergence", *(f"--set=sweep.{item}" for item in overrides)]
+
+
 @pytest.mark.parametrize(
     "args,written",
-    [(["edge-sim"], "edge_sim.csv"), (["husimi", "--set", "droplet.N=2"], "husimi.csv")],
-    ids=["edge-sim", "husimi"],
+    [
+        (["edge-sim"], "edge_sim.csv"),
+        (["husimi", "--set", "droplet.N=2"], "husimi.csv"),
+        (_star(), "star_convergence.csv"),
+        (_star("r=2", "pair=raise_sq_lower_sq", "k_values=8,12,16"), "star_convergence.csv"),
+        (_star("s=1", "n_max=80", "k_values=20,40,80"), "star_convergence.csv"),
+        (_star("pair=identity", "k_values=8,12,16"), "star_convergence.csv"),
+        (_star("s=1", "n_max=40", "r=2", "pair=commuting_numbers", "k_values=20,40,80"),
+         "star_convergence.csv"),
+        (_star("s=1", "n_max=80", "pair=number_raise_sq_lower_sq", "k_values=20,40,80"),
+         "star_convergence.csv"),
+        (_star("pair=number_sq_lower_sq", "k_values=8,12,16"), "star_convergence.csv"),
+    ],
+    ids=["edge-sim", "husimi", "star-default", "star-r2", "star-bosonic", "star-identity",
+         "star-commuting-bosonic", "star-number-raise-bosonic", "star-number-sq"],
 )
 def test_command_never_imports_scipy(tmp_path, args, written):
     result = subprocess.run(

@@ -15,6 +15,7 @@ from arstat.bargmann import build_quadrature
 from arstat.droplet import potential_symbol
 from arstat.errors import ArstatError, InvalidSpec
 from arstat.starprod import (
+    STANDARD_PAIRS,
     Symbol,
     convergence_study,
     moyal_bracket,
@@ -26,7 +27,7 @@ from arstat.starprod import (
     symbol_of,
 )
 
-from oracles import fd_gradients
+from oracles import fd_gradients, sparse_standard_pairs
 
 
 # ----------------------------------------------------------------- symbols
@@ -270,6 +271,28 @@ def test_moyal_bilinear_and_leibniz_on_products():
 
 
 # ------------------------------------------------------- convergence study
+
+@pytest.mark.parametrize("name", sorted(STANDARD_PAIRS))
+@pytest.mark.parametrize(
+    "spec",
+    [StatisticsSpec(r=1, s=-1, k=30), StatisticsSpec(r=2, s=-1, k=12),
+     StatisticsSpec(r=2, s=+1, k=9.5, n_max=14), StatisticsSpec(r=3, s=+1, k=4.0, n_max=6)],
+    ids=lambda spec: f"r{spec.r}s{spec.s:+d}",
+)
+def test_standard_pair_shifts_act_as_their_sparse_products(name, spec):
+    basis = enumerate_basis(spec)
+    expected = sparse_standard_pairs(basis)
+    if name not in expected:
+        with pytest.raises(InvalidSpec):
+            standard_pair(name)(basis, ladder_matrices(basis))
+        return
+    rng = np.random.default_rng(11)
+    for shift, matrix in zip(standard_pair(name)(basis, ladder_matrices(basis)), expected[name]):
+        for _ in range(3):
+            v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+            want = matrix @ v
+            assert np.max(np.abs(shift @ v - want)) <= 1e-15 * np.max(np.abs(want))
+
 
 def _fermionic_spec(k):
     return StatisticsSpec(r=1, s=-1, k=int(k))
