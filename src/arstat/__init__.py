@@ -41,7 +41,6 @@ _EXPORTS = {
         "HamiltonianSpec",
         "LadderOperators",
         "RelationReport",
-        "Shift",
         "StatisticsSpec",
         "enumerate_basis",
         "fermionic_dimension",

@@ -32,7 +32,6 @@ __all__ = [
     "FockBasis",
     "HamiltonianSpec",
     "LadderOperators",
-    "Shift",
     "RelationReport",
     "ResidualNorms",
     "enumerate_basis",
@@ -296,10 +295,11 @@ class Shift:
 
     Row j holds ``weight[j]`` in column ``source[j]``, so
     ``(op @ v)[j] = weight[j] * v[source[j]]`` for a vector v (row by row
-    for a matrix); a row whose weight is zero holds no entry.  The product of two shifts is a shift and
-    so is a shift divided by a scalar, which makes every monomial in the
-    ladder and number operators one.  Each row's entry is a single product
-    of factors, as in the sparse product of the same matrices.
+    for a matrix); a row whose weight is zero holds no entry.  The product
+    of two shifts is a shift and so is a shift divided by a scalar, which
+    makes every monomial in the ladder and number operators one.  Each
+    row's entry is a single product of factors, as in the sparse product of
+    the same matrices.
     """
 
     source: np.ndarray
@@ -390,14 +390,16 @@ def ladder_matrices(basis: FockBasis) -> LadderOperators:
     return LadderOperators(basis=basis, lowering=tuple(lowering), raising=tuple(raising))
 
 
-def number_operator(basis: FockBasis, mode: int) -> sparse.csr_matrix:
-    """Diagonal occupancy operator for one mode."""
-    from scipy import sparse
-
+def number_shift(basis: FockBasis, mode: int) -> Shift:
+    """Diagonal occupancy operator N_i for one mode, as a shift."""
     if not 0 <= mode < basis.spec.r:
         raise ModeOutOfRange(f"mode {mode} outside 0..{basis.spec.r - 1}")
-    diag = basis.occupations[:, mode].astype(complex)
-    return sparse.diags(diag).tocsr()
+    return Shift.diagonal(basis.occupations[:, mode])
+
+
+def number_operator(basis: FockBasis, mode: int) -> sparse.csr_matrix:
+    """Diagonal occupancy operator for one mode."""
+    return number_shift(basis, mode).tocsr()
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ HUSIMI_POINT_LIMIT = 2**20
 
 # star-convergence builds one basis and its ladders per k.  The r=2
 # commuting_numbers sweep to k=1280 (820,440 states) takes about 1.9 s and
-# peaks at about 270 MiB; see _sweep_too_large for bases of more than two modes
+# peaks at about 270 MiB
 SWEEP_DIM_LIMIT = 2**21
 
 
@@ -210,30 +210,26 @@ def statistics_spec(cfg: RunConfig) -> algebra.StatisticsSpec:
     return algebra.StatisticsSpec(r=r, s=s, k=k, n_max=n_max)
 
 
-def _sweep_too_large(spec: algebra.StatisticsSpec) -> bool:
-    """Whether one sweep basis exceeds SWEEP_DIM_LIMIT two-mode states.
+def _basis_excess(spec: algebra.StatisticsSpec, limit: int) -> str | None:
+    """What puts the basis of ``spec`` over ``limit`` states, or None.
 
-    Enumerating a basis and its ladders takes time that grows like
-    dim * r^2, so a basis of r > 2 modes counts as dim * (r/2)^2 states.
-    dim = C(cap + r, r) is at least cap + r when cap >= 1 and is 1 when
-    cap = 0; that bound settles a huge cap or r before ``math.comb``, which
-    would not finish on two huge arguments.
+    dim = C(cap + r, r) is at least cap + r when cap >= 1, so cap + r above
+    the limit settles it before ``math.comb``, which would not finish on two
+    huge arguments.  With cap = 0 there is one state, but it still holds r
+    occupations.
     """
-    cap, weight = spec.total_cap, max(spec.r, 2) ** 2
-    least = cap + spec.r if cap >= 1 else 1
-    if least * weight > 4 * SWEEP_DIM_LIMIT:
-        return True
-    return algebra.basis_dimension(spec) * weight > 4 * SWEEP_DIM_LIMIT
+    if spec.total_cap + spec.r > limit:
+        return f"mode count plus occupancy cap {spec.total_cap + spec.r}"
+    dim = algebra.basis_dimension(spec)
+    return f"basis dimension {dim}" if dim > limit else None
 
 
 def dense_statistics_spec(cfg: RunConfig) -> algebra.StatisticsSpec:
     """The configured family, refused before any work if a dense matrix on it is too large."""
     spec = statistics_spec(cfg)
-    dim = algebra.basis_dimension(spec)
-    if dim > DENSE_DIM_LIMIT:
-        raise SizeError(
-            f"basis dimension {dim} exceeds the dense limit of {DENSE_DIM_LIMIT} states"
-        )
+    excess = _basis_excess(spec, DENSE_DIM_LIMIT)
+    if excess:
+        raise SizeError(f"{excess} exceeds the dense limit of {DENSE_DIM_LIMIT} states")
     return spec
 
 
@@ -539,11 +535,9 @@ def cmd_star_convergence(cfg: RunConfig) -> int:
         return algebra.StatisticsSpec(r=r, s=+1, k=k, n_max=sweep_n_max)
 
     for k in k_values:
-        if _sweep_too_large(build_spec(k)):
-            raise SizeError(
-                f"[sweep] k = {k:g} needs a basis of more than {SWEEP_DIM_LIMIT} "
-                "two-mode states (one of r > 2 modes counts (r/2)^2 times its states)"
-            )
+        excess = _basis_excess(build_spec(k), SWEEP_DIM_LIMIT)
+        if excess:
+            raise SizeError(f"[sweep] at k = {k:g} the {excess} exceeds {SWEEP_DIM_LIMIT} states")
 
     groups = cfg.get("sweep", "points", _parse_complex_groups, required=False)
     if groups is None:

@@ -40,6 +40,7 @@ from .algebra import (
     StatisticsSpec,
     enumerate_basis,
     ladder_matrices,
+    number_shift,
 )
 from .bargmann import QuadratureRule, coherent_vector, coherent_amplitude_matrix, integrate, metric
 from .errors import ArstatError, InvalidSpec
@@ -249,6 +250,7 @@ def convergence_study(
 
     ``build_spec`` maps each k to a StatisticsSpec (same r and s across
     the sweep); ``build_pair`` produces the operator pair on each basis.
+    A standard pair is built and applied as shifts, with numpy alone.
     Errors at or below ``FIT_FLOOR`` are round-off and dropped from the
     fits; if fewer than two points survive the fit is flagged degenerate.
     A non-finite remainder raises ArstatError.
@@ -257,6 +259,8 @@ def convergence_study(
         raise InvalidSpec("a convergence sweep needs at least 3 k values")
     if any(b <= a for a, b in zip(k_values, k_values[1:])):
         raise InvalidSpec("k grid must be strictly increasing")
+    if isinstance(build_pair, _StandardPair):
+        build_pair = build_pair.shifts
     star_errors = []
     bracket_errors = []
     for k in k_values:
@@ -279,10 +283,6 @@ def convergence_study(
     )
 
 
-def _number(basis, mode):
-    return Shift.diagonal(basis.occupations[:, mode])
-
-
 def _pair_raise_sq_lower_sq(basis, ladders):
     kappa = basis.spec.kappa
     up = ladders.raising[0]
@@ -292,14 +292,14 @@ def _pair_raise_sq_lower_sq(basis, ladders):
 
 def _pair_number_sq_lower_sq(basis, ladders):
     kappa = basis.spec.kappa
-    n = _number(basis, 0)
+    n = number_shift(basis, 0)
     dn = ladders.lowering[0]
     return (n @ n) / kappa**2, (dn @ dn) / kappa**2
 
 
 def _pair_number_raise_sq_lower_sq(basis, ladders):
     kappa = basis.spec.kappa
-    n = _number(basis, 0)
+    n = number_shift(basis, 0)
     up = ladders.raising[0]
     dn = ladders.lowering[0]
     return (n @ up @ up) / kappa**3, (dn @ dn) / kappa**2
@@ -309,7 +309,7 @@ def _pair_commuting_numbers(basis, ladders):
     if basis.spec.r < 2:
         raise InvalidSpec("the commuting-number pair needs r >= 2")
     kappa = basis.spec.kappa
-    return _number(basis, 0) / kappa, _number(basis, 1) / kappa
+    return number_shift(basis, 0) / kappa, number_shift(basis, 1) / kappa
 
 
 def _pair_identity(basis, ladders):
@@ -317,16 +317,28 @@ def _pair_identity(basis, ladders):
     return eye, eye
 
 
-#: Scale-normalized operator pairs for remainder studies, each built as two
-#: ``Shift`` operators.  The first three are non-commuting with genuinely
-#: nonzero 1/k^2 remainders; the last two are degenerate controls
-#: (identically vanishing errors).
+@dataclass(frozen=True)
+class _StandardPair:
+    """One of ``STANDARD_PAIRS``: called on (basis, ladders), it returns the
+    two operators as scipy.sparse CSR matrices; ``shifts`` builds the same
+    two as ``Shift`` operators."""
+
+    shifts: Callable[[FockBasis, LadderOperators], tuple[Shift, Shift]]
+
+    def __call__(self, basis: FockBasis, ladders: LadderOperators) -> tuple:
+        a, b = self.shifts(basis, ladders)
+        return a.tocsr(), b.tocsr()
+
+
+#: Scale-normalized operator pairs for remainder studies.  The first three
+#: are non-commuting with genuinely nonzero 1/k^2 remainders; the last two
+#: are degenerate controls (identically vanishing errors).
 STANDARD_PAIRS = {
-    "raise_sq_lower_sq": _pair_raise_sq_lower_sq,
-    "number_sq_lower_sq": _pair_number_sq_lower_sq,
-    "number_raise_sq_lower_sq": _pair_number_raise_sq_lower_sq,
-    "commuting_numbers": _pair_commuting_numbers,
-    "identity": _pair_identity,
+    "raise_sq_lower_sq": _StandardPair(_pair_raise_sq_lower_sq),
+    "number_sq_lower_sq": _StandardPair(_pair_number_sq_lower_sq),
+    "number_raise_sq_lower_sq": _StandardPair(_pair_number_raise_sq_lower_sq),
+    "commuting_numbers": _StandardPair(_pair_commuting_numbers),
+    "identity": _StandardPair(_pair_identity),
 }
 
 

@@ -579,5 +579,12 @@ def test_number_operator_diagonal():
     n1 = number_operator(basis, 1).toarray()
     for idx, occ in enumerate(basis.occupations.tolist()):
         assert n1[idx, idx] == occ[1]
+    # the CSR form of the number shift is bitwise the diagonal sparse assembly
+    from scipy import sparse
+
+    expected = sparse.diags(basis.occupations[:, 1].astype(complex)).tocsr()
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(number_operator(basis, 1), name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     with pytest.raises(ModeOutOfRange):
         number_operator(basis, 5)

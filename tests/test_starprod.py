@@ -281,17 +281,37 @@ def test_moyal_bilinear_and_leibniz_on_products():
 )
 def test_standard_pair_shifts_act_as_their_sparse_products(name, spec):
     basis = enumerate_basis(spec)
+    ladders = ladder_matrices(basis)
     expected = sparse_standard_pairs(basis)
     if name not in expected:
         with pytest.raises(InvalidSpec):
-            standard_pair(name)(basis, ladder_matrices(basis))
+            standard_pair(name).shifts(basis, ladders)
         return
     rng = np.random.default_rng(11)
-    for shift, matrix in zip(standard_pair(name)(basis, ladder_matrices(basis)), expected[name]):
+    for shift, matrix in zip(standard_pair(name).shifts(basis, ladders), expected[name]):
         for _ in range(3):
             v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
             want = matrix @ v
             assert np.max(np.abs(shift @ v - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_PAIRS))
+def test_standard_pairs_are_sparse_matrices(name):
+    # the public pair keeps the full matrix protocol: products, differences,
+    # row-vector products in star_quadrature
+    spec = StatisticsSpec(r=2, s=-1, k=4)
+    basis = enumerate_basis(spec)
+    ladders = ladder_matrices(basis)
+    a, b = standard_pair(name)(basis, ladders)
+    for op, want in zip((a, b), sparse_standard_pairs(basis)[name]):
+        assert np.max(np.abs((op - want).toarray())) <= 1e-15 * np.max(np.abs(want.toarray()))
+    # the fermionic integrands are polynomials, which this rule integrates exactly
+    rule = build_quadrature(spec, n_radial=12)
+    for z in ([0.3, 0.1j], [0.15 + 0.2j, -0.1]):
+        exact = star_exact(a, b, basis, z)
+        assert abs(star_quadrature(a, b, basis, z, rule, n_angular=13) - exact) < 1e-14
+        commutator = symbol_of(a @ b - b @ a, basis, z)
+        assert abs(commutator - (exact - star_exact(b, a, basis, z))) < 1e-14
 
 
 def _fermionic_spec(k):
