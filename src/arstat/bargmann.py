@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FockBasis, LadderOperators, StatisticsSpec, _log_gamma, ladder_matrices
-from .errors import DomainError, InvalidSpec, TailError, TruncationError
+from .errors import DomainError, InvalidSpec, TruncationError
 
 __all__ = [
     "CoherentVector",
@@ -368,20 +368,10 @@ class QuadratureRule:
     rho: np.ndarray
     weights: np.ndarray
     normalization: NormalizationInfo
-    cutoff: float | None = None
-    tail_bound: float = 0.0
 
     @property
     def unit_moment(self) -> float:
         return float(np.sum(self.weights))
-
-    def refined(self, factor: int = 2) -> "QuadratureRule":
-        return build_quadrature(
-            self.spec,
-            n_radial=self.n_radial * factor,
-            kind=self.kind,
-            cutoff=self.cutoff,
-        )
 
 
 def _tensor_grid(per_mode: list[tuple[np.ndarray, np.ndarray]]):
@@ -412,33 +402,20 @@ def _legendre_unit_interval(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def build_quadrature(
-    spec: StatisticsSpec,
-    n_radial: int = 48,
-    kind: str | None = None,
-    cutoff: float | None = None,
-    tail_tol: float = 1e-12,
-) -> QuadratureRule:
+def build_quadrature(spec: StatisticsSpec, n_radial: int = 48) -> QuadratureRule:
     """Construct the radial rule for one family.
 
     Bosonic: the radial simplex is mapped onto a unit cube (nested
     substitution), which factorizes the boundary weight into per-mode
     Gauss-Jacobi factors; moment integrands become polynomials, so the
-    rule is exact for them.  Fermionic: the default maps the infinite
+    rule is exact for them.  Fermionic: the rule maps the infinite
     orthant through rho = y/(1-Y) with y on the unit simplex, again in
     nested cube coordinates; the domain is compactified with no tail at
-    all and the moments are exactly polynomial.  ``kind='radial_cutoff'``
-    instead integrates on [0, R]^r and certifies the neglected mass,
-    raising TailError if it exceeds ``tail_tol``.
+    all and the moments are exactly polynomial.
     """
     norm = measure_normalization(spec)
     k, r, s = spec.k, spec.r, spec.s
-    if kind is None:
-        kind = "simplex_jacobi" if s == +1 else "simplex_rational"
-
-    if kind == "simplex_jacobi":
-        if s != +1:
-            raise InvalidSpec("the Jacobi simplex rule applies to the bosonic family only")
+    if s == +1:
         a = k - r - 1.0
         per_mode = [_jacobi_unit_interval(n_radial, a + (r - 1 - j)) for j in range(r)]
         t_pts, t_w = _tensor_grid(per_mode)
@@ -448,47 +425,24 @@ def build_quadrature(
             rho[:, j] = t_pts[:, j] * shrink
             shrink = shrink * (1.0 - t_pts[:, j])
         weights = norm.analytic * t_w
-        return QuadratureRule(spec, kind, n_radial, rho, weights, norm)
+        return QuadratureRule(spec, "simplex_jacobi", n_radial, rho, weights, norm)
 
-    if kind == "simplex_rational":
-        if s != -1:
-            raise InvalidSpec("the rational simplex rule applies to the fermionic family only")
-        # rho = y / (1 - Y) with y on the unit simplex in nested coordinates;
-        # the weight collapses to (1 - Y)^(k-1), so every radial moment with
-        # total degree <= k - 1 is a polynomial and integrates exactly
-        per_mode = [_legendre_unit_interval(n_radial) for _ in range(r)]
-        t_pts, t_w = _tensor_grid(per_mode)
-        y = np.empty_like(t_pts)
-        shrink = np.ones(t_pts.shape[0])
-        jac = np.ones(t_pts.shape[0])
-        for j in range(r):
-            y[:, j] = t_pts[:, j] * shrink
-            jac = jac * shrink
-            shrink = shrink * (1.0 - t_pts[:, j])
-        one_minus_total = shrink  # 1 - Y = prod(1 - t_j)
-        rho = y / one_minus_total[:, None]
-        weights = norm.analytic * t_w * jac * one_minus_total ** (k - 1.0)
-        return QuadratureRule(spec, kind, n_radial, rho, weights, norm)
-
-    if kind == "radial_cutoff":
-        if s != -1:
-            raise InvalidSpec("the cutoff rule applies to the fermionic family only")
-        if cutoff is None:
-            raise InvalidSpec("radial_cutoff needs an explicit cutoff radius")
-        tail = r * (1.0 + cutoff) ** (-k)
-        if tail > tail_tol:
-            raise TailError(
-                f"cutoff R={cutoff} leaves measure tail {tail:.3e} > {tail_tol:.1e}"
-            )
-        t, w = _legendre_unit_interval(n_radial)
-        per_mode = [(t * cutoff, w * cutoff) for _ in range(r)]
-        rho, base_w = _tensor_grid(per_mode)
-        density = norm.analytic * (1.0 + np.sum(rho, axis=1)) ** (-(k + r))
-        return QuadratureRule(
-            spec, kind, n_radial, rho, base_w * density, norm, cutoff=cutoff, tail_bound=tail
-        )
-
-    raise InvalidSpec(f"unknown quadrature kind {kind!r}")
+    # rho = y / (1 - Y) with y on the unit simplex in nested coordinates;
+    # the weight collapses to (1 - Y)^(k-1), so every radial moment with
+    # total degree <= k - 1 is a polynomial and integrates exactly
+    per_mode = [_legendre_unit_interval(n_radial) for _ in range(r)]
+    t_pts, t_w = _tensor_grid(per_mode)
+    y = np.empty_like(t_pts)
+    shrink = np.ones(t_pts.shape[0])
+    jac = np.ones(t_pts.shape[0])
+    for j in range(r):
+        y[:, j] = t_pts[:, j] * shrink
+        jac = jac * shrink
+        shrink = shrink * (1.0 - t_pts[:, j])
+    one_minus_total = shrink  # 1 - Y = prod(1 - t_j)
+    rho = y / one_minus_total[:, None]
+    weights = norm.analytic * t_w * jac * one_minus_total ** (k - 1.0)
+    return QuadratureRule(spec, "simplex_rational", n_radial, rho, weights, norm)
 
 
 def _radial_moment(rule: QuadratureRule, powers) -> float:

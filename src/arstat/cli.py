@@ -93,6 +93,11 @@ EDGE_SAMPLE_LIMIT = 2**24
 # 100 MiB of each
 HUSIMI_POINT_LIMIT = 2**20
 
+# verify draws this many random points and as many pairs; each costs a
+# metric and an overlap series over the basis, and a quarter of them a
+# distance Hessian.  10,000 points take about 3.4 s on the default family
+VERIFY_POINT_LIMIT = 2**16
+
 # star-convergence builds one basis and its ladders per k.  The r=2
 # commuting_numbers sweep to k=1280 (820,440 states) takes about 1.9 s and
 # peaks at about 270 MiB
@@ -278,26 +283,28 @@ def csv_lines(*columns):
 
     A generator, so the cells are formatted only if the block is written.
     """
-    yield "".join(",".join(cells) + "\n" for cells in zip(*columns))
+    yield "".join(",".join(cells) + "\n" for cells in zip(*columns)).encode()
 
 
 def edge_csv_blocks(times: np.ndarray, axes: list[np.ndarray], samples: np.ndarray):
-    """The edge-sim data lines, one block per time slice.
+    """The edge-sim data lines, one block of bytes per time slice.
 
     ``samples`` is C-ordered over (t, theta_1, ..., theta_r).  One template
     with a line per angular grid point is built once, with the theta cells
-    already formatted in; each slice is then one ``str.format`` call that
-    fills in its time cell and the phi values.
+    already formatted in and a NUL byte in place of the time cell.  Each
+    slice is then one ``%`` fill of its phi cells, which ``_g17`` formats in
+    numpy to the bytes of ``format(x, ".17g")``.
     """
+    from ._g17 import g17_cells
+
     theta_cells = itertools.product(*[[fmt(v) for v in ax.tolist()] for ax in axes])
-    phi_field = "{:" + NUMBER_FORMAT + "}"
-    template = "".join(f"{{t}},{','.join(point)},{phi_field}\n" for point in theta_cells)
+    template = "".join(f"\0,{','.join(point)},%s\n" for point in theta_cells).encode()
     for t, block in zip(times.tolist(), samples):
-        yield template.format(*block.ravel().tolist(), t=fmt(t))
+        yield template.replace(b"\0", fmt(t).encode()) % tuple(g17_cells(block))
 
 
 def write_csv(cfg: RunConfig, name: str, header: list[str], blocks) -> Path | None:
-    """Write the header line, then each newline-terminated text block of ``blocks``.
+    """Write the header line, then each newline-terminated block of bytes of ``blocks``.
 
     The blocks go to the open file one at a time.  Without ``csv`` in
     ``--format`` nothing is written and ``blocks`` is never consumed, so a
@@ -307,8 +314,8 @@ def write_csv(cfg: RunConfig, name: str, header: list[str], blocks) -> Path | No
         return None
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{name}.csv"
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         fh.writelines(blocks)
     return path
 
@@ -343,6 +350,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     spec = dense_statistics_spec(cfg)
     tol = lambda key: cfg.get("tolerances", key, float)
     n_points = cfg.get_count("verify", "n_points", 1)
+    if n_points > VERIFY_POINT_LIMIT:
+        raise SizeError(
+            f"[verify] n_points = {n_points} exceeds the limit of {VERIFY_POINT_LIMIT} points"
+        )
     basis = algebra.enumerate_basis(spec)
     ladders = algebra.ladder_matrices(basis)
     hspec = hamiltonian_spec(cfg, spec.r)
@@ -416,7 +427,14 @@ def cmd_verify(cfg: RunConfig) -> int:
         check_overlap,
     ]
     start = time.perf_counter()
-    checks = [fn() for fn in tasks]
+    # A family with a huge label overflows the quadrature and the measure
+    # (a bosonic k = 1e300 asks for a Gauss-Jacobi rule of weight
+    # (1 - t)^1e300); the inf or nan that would follow is refused.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            checks = [fn() for fn in tasks]
+    except (FloatingPointError, OverflowError) as exc:
+        raise ConfigError(f"[statistics] the family overflows double precision ({exc})") from None
     elapsed = time.perf_counter() - start
     print(f"verify: {len(checks)} checks in {elapsed:.2f}s")
     return emit_checks(cfg, "verify_report", checks)
@@ -602,6 +620,22 @@ def cmd_star_convergence(cfg: RunConfig) -> int:
     return 0
 
 
+def _whole_periods(velocities: list[float], amplitudes: np.ndarray, periods: float) -> bool:
+    """Whether ``2 pi periods`` is a whole period of every active mode.
+
+    Mode n of component i turns e_i periods n times over the window; that
+    count must be an integer for each nonzero amplitude.  It is decided in
+    exact rational arithmetic on the parsed doubles.
+    """
+    p_num, p_den = periods.as_integer_ratio()
+    for e, row in zip(velocities, amplitudes):
+        e_num, e_den = e.as_integer_ratio()
+        for n in (np.flatnonzero(row) + 1).tolist():
+            if e_num * p_num * n % (e_den * p_den):
+                return False
+    return True
+
+
 def cmd_edge_sim(cfg: RunConfig) -> int:
     velocities = cfg.get("edge", "velocities", _parse_float_list)
     r = len(velocities)
@@ -636,7 +670,6 @@ def cmd_edge_sim(cfg: RunConfig) -> int:
         raise SizeError(
             f"[edge] n_time * n_theta^{r} exceeds the limit of {EDGE_SAMPLE_LIMIT} samples"
         )
-    with_action = all(w == 0.0 for w in winding)
     # The spectral derivatives alias unless each grid samples the highest
     # frequency it carries more than twice per cycle: mode M_i of component
     # i in its angle, and in time sum_i |e_i| M_i cycles of the product per
@@ -652,6 +685,15 @@ def cmd_edge_sim(cfg: RunConfig) -> int:
         raise ConfigError(
             "[edge] velocities, amplitudes and periods overflow the time resolution bound"
         )
+    # The action's time derivative is spectral, so it needs a history that
+    # is periodic on the time grid: no winding, and a window of whole periods.
+    if any(w != 0.0 for w in winding):
+        action_skipped = "winding history"
+    elif not _whole_periods(velocities, amps, periods):
+        action_skipped = "window not a whole period of every mode"
+    else:
+        action_skipped = None
+    with_action = action_skipped is None
     if with_action and n_time <= time_nyquist:
         raise ConfigError(
             f"[edge] n_time = {n_time} under-resolves the action's time derivative; "
@@ -671,10 +713,7 @@ def cmd_edge_sim(cfg: RunConfig) -> int:
             eom = edge.eom_residual(field, n_theta=n_theta, times=times[:: max(1, n_time // 8)])
             period_res = edge.periodicity_residual(field, times=times[:: max(1, n_time // 8)])
             samples = edge.sample_field(field, axes, times)
-            if with_action:
-                action = edge.action_value(samples, velocities, times)
-            else:
-                action = None  # winding histories are not torus-periodic samples
+            action = edge.action_value(samples, velocities, times) if with_action else None
     except FloatingPointError as exc:
         raise ConfigError(f"[edge] the field overflows double precision ({exc})") from None
 
@@ -711,7 +750,7 @@ def cmd_edge_sim(cfg: RunConfig) -> int:
         return 0
     print(
         f"edge-sim: eom {eom:.3e}, periodicity {period_res:.3e}, "
-        f"action {'n/a' if action is None else f'{action:.3e}'}, "
+        f"action {f'n/a ({action_skipped})' if action is None else f'{action:.3e}'}, "
         f"mode commutators {comm_res:.3e}"
     )
     ok = eom <= tol_eom and period_res <= tol_period and comm_res <= 1e-12

@@ -21,10 +21,6 @@ class TruncationError(ArstatError):
     """The bosonic truncation tail exceeds the requested tolerance."""
 
 
-class TailError(ArstatError):
-    """A radial cutoff leaves a measure tail above tolerance."""
-
-
 class CapError(ArstatError, ValueError):
     """A droplet occupancy cap violates the representation bounds."""
 

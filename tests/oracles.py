@@ -11,7 +11,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_legendre
 
 
 def brute_force_states(r, cap):
@@ -249,3 +249,21 @@ def edge_csv_reference(times, axes, samples):
     phi = [f"{v:.17g}" for v in samples.ravel().tolist()]
     rows = [",".join(point) + "," + cell for point, cell in zip(grid, phi)]
     return "\n".join([header, *rows]) + "\n"
+
+
+def radial_cutoff_rule(spec, n_radial, cutoff):
+    """The fermionic measure on the box [0, R]^r by tensor Gauss-Legendre,
+    with no compactifying map: a reference for ``build_quadrature``'s
+    mapped rule.  Returns the rule and the bound r (1 + R)^(-k) on the
+    measure it leaves out."""
+    from arstat.bargmann import QuadratureRule, measure_normalization
+
+    k, r = spec.k, spec.r
+    x, w = roots_legendre(n_radial)
+    nodes, weights = (x + 1.0) / 2.0 * cutoff, w / 2.0 * cutoff
+    rho = np.array(list(itertools.product(nodes, repeat=r)))
+    base = np.prod(np.array(list(itertools.product(weights, repeat=r))), axis=1)
+    norm = measure_normalization(spec)
+    density = norm.analytic * (1.0 + np.sum(rho, axis=1)) ** (-(k + r))
+    rule = QuadratureRule(spec, "radial_cutoff", n_radial, rho, base * density, norm)
+    return rule, r * (1.0 + cutoff) ** (-k)

@@ -320,7 +320,10 @@ RESOLVED_EDGE = [
         # finite inputs whose field overflows double precision
         ("edge-sim", ["edge.zero_mode=1e308"]),
         ("edge-sim", ["edge.winding=1e308"]),
-        ("edge-sim", ["edge.periods=1e-320"]),
+        # a subnormal window of whole periods (a static field): the action's
+        # time frequencies overflow.  With a moving mode the window is not
+        # a whole period and the action is skipped (see below).
+        ("edge-sim", ["edge.periods=1e-320", "edge.velocities=0"]),
         ("edge-sim", ["edge.periods=5e-324"]),
         # values and sections that configparser itself refuses
         ("edge-sim", ["edge.velocities=1%"]),
@@ -473,13 +476,52 @@ def edge_overrides(draw):
 @example(overrides=["edge.velocities=1e308", "edge.n_time=1000"])
 @example(overrides=["edge.n_theta=1000000000000"])
 @example(overrides=["edge.algebra_level=37500"])
+# a window that is not a whole period of the mode: the action is skipped
+@example(overrides=["edge.velocities=0.5"])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_edge_sim_settings_exit_0_1_or_2(overrides):
     errors = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(errors):
         code = run_in_process("edge-sim", "--out", out, *(f"--set={item}" for item in overrides))
+        if code == 1:
+            # A corrupted run exits 0, and the action check cannot fail a
+            # genuine solution: some other check must be past its tolerance.
+            report = json.loads((Path(out) / "edge_sim.json").read_text())
+            assert not report["corrupted"]
+            tolerances = cli.DEFAULT_CONFIG["tolerances"]
+            assert (
+                float(report["eom_residual"]) > float(tolerances["eom"])
+                or float(report["periodicity_residual"]) > float(tolerances["periodicity"])
+                or float(report["mode_commutator_residual"]) > 1e-12
+            ), report
     assert code in (0, 1, 2)
     assert "Traceback" not in errors.getvalue()
+
+
+@pytest.mark.parametrize(
+    "overrides,whole",
+    [
+        (["edge.velocities=0.5"], False),
+        (["edge.velocities=0.5", "edge.periods=2"], True),
+        (["edge.velocities=0.1"], False),  # 0.1 is not 1/10 as a double
+        (["edge.velocities=0.1", "edge.periods=10"], False),
+        (["edge.velocities=0.25", "edge.periods=4"], True),
+        (["edge.velocities=0.5", "edge.amplitudes=0,0.5"], True),  # only mode 2 is active
+        (["edge.periods=1e-320"], False),
+        ([*RESOLVED_EDGE, "edge.periods=0.5"], False),  # mode 1 of the first component
+        ([*RESOLVED_EDGE, "edge.periods=0.5", "edge.amplitudes=0,0.2;0.3j,0.1"], True),
+    ],
+)
+def test_edge_action_needs_a_window_of_whole_periods(tmp_path, overrides, whole):
+    result = run_cli(*_edge_args(tmp_path, overrides, "--format", "json"))
+    assert result.returncode == 0, result.stdout + result.stderr
+    meta = json.loads((tmp_path / "edge_sim.json").read_text())
+    assert float(meta["eom_residual"]) < 1e-12
+    if whole:
+        assert abs(float(meta["action_value"])) < 1e-10
+    else:
+        assert meta["action_value"] is None
+        assert "action n/a (window not a whole period of every mode)" in result.stdout
 
 
 # The edge-csv benchmark's size: 64 x 64 angles, 32 times, two modes per
@@ -634,12 +676,20 @@ def test_husimi_large_k_crosses_at_the_poisson_median(tmp_path, s, k):
 
 def _numbers_are_finite(directory: Path) -> bool:
     """No nan or inf in any data cell or report value written to ``directory``."""
+    def strings(node):
+        if isinstance(node, dict):
+            # a hex hash such as 98e9413257599752 parses as a float (inf)
+            node = [value for key, value in node.items() if key != "config_hash"]
+        if isinstance(node, list):
+            return [cell for item in node for cell in strings(item)]
+        return [node] if isinstance(node, str) else []
+
     cells = []
     for path in directory.iterdir():
         if path.suffix == ".csv":
             cells += [cell for line in path.read_text().splitlines()[1:] for cell in line.split(",")]
         else:
-            cells += [value for value in json.loads(path.read_text()).values() if isinstance(value, str)]
+            cells += strings(json.loads(path.read_text()))  # nested checks and fits too
     numbers = []
     for cell in cells:
         try:
@@ -704,6 +754,79 @@ def test_dense_commands_refuse_a_large_basis(tmp_path, command):
     assert result.stderr.startswith("error: ") and "12341" in result.stderr
     assert elapsed < 10.0
     assert not any(tmp_path.iterdir())
+
+
+# Values that are huge, tiny, non-finite, fractional or malformed for any
+# key of a family, its Hamiltonian or verify's point count.
+FAMILY_EXTREMES = ("1e300", "8.9e307", "1.7e308", "5e-324", "1000000000000", "2.5",
+                   "-1", "0", "nan", "inf", "", "x", "%", ";")
+FAMILY_KEYS = ("statistics.r", "statistics.s", "statistics.k", "statistics.n_max",
+               "hamiltonian.e0", "hamiltonian.e", "verify.n_points")
+
+
+def _family_value(draw, key, s, r, extreme):
+    """One value for ``key`` of a family with sign s on r modes: small and
+    well formed (r <= 2, k <= 12, n_max <= 30), or with ``extreme`` one of
+    FAMILY_EXTREMES, alone or inside the list of energies."""
+    if extreme and (key != "hamiltonian.e" or draw(st.booleans())):
+        return draw(st.sampled_from(FAMILY_EXTREMES))
+    if key == "hamiltonian.e":
+        cells = [repr(draw(st.floats(-5.0, 5.0))) for _ in range(r)]
+        if extreme:
+            cells[draw(st.integers(0, r - 1))] = draw(st.sampled_from(FAMILY_EXTREMES))
+        return ",".join(cells)
+    if key == "hamiltonian.e0":
+        return repr(draw(st.floats(-5.0, 5.0)))
+    if key == "statistics.k":
+        return str(draw(st.integers(2, 12))) if s == -1 else repr(draw(st.floats(1.01, 12.0)))
+    if key == "statistics.r":
+        return str(draw(st.integers(1, 2)))
+    if key == "statistics.s":
+        return draw(st.sampled_from(("-1", "1")))
+    if key == "verify.n_points":
+        return str(draw(st.integers(1, 5)))
+    return str(draw(st.integers(0, 30)))  # n_max
+
+
+@st.composite
+def family_overrides(draw):
+    """``--set`` items for verify and spectrum: a small family, then a few
+    overrides of its keys, its Hamiltonian or the point count, some extreme."""
+    s = draw(st.sampled_from((-1, 1)))
+    r = draw(st.integers(1, 2))
+    base = ("statistics.k", "statistics.n_max")
+    items = [f"statistics.s={s}", f"statistics.r={r}"]
+    items += [f"{key}={_family_value(draw, key, s, r, False)}" for key in base]
+    for key in draw(st.lists(st.sampled_from(FAMILY_KEYS), max_size=3)):
+        items.append(f"{key}={_family_value(draw, key, s, r, draw(st.booleans()))}")
+    return items
+
+
+def _dense_command_exits_0_1_or_2(command, overrides):
+    errors = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(errors):
+        code = run_in_process(command, "--out", out, *(f"--set={item}" for item in overrides))
+        assert _numbers_are_finite(Path(out))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in errors.getvalue()
+
+
+@given(overrides=family_overrides())
+@example(overrides=["statistics.r=40"])  # 12,341 states, refused before any work
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_spectrum_settings_exit_0_1_or_2(overrides):
+    _dense_command_exits_0_1_or_2("spectrum", overrides)
+
+
+@given(overrides=family_overrides())
+@example(overrides=["statistics.r=40"])
+# a Gauss-Jacobi rule of weight (1 - t)^1e300 overflowed into a traceback,
+# and a huge point count was drawn point by point until memory ran out
+@example(overrides=["statistics.s=1", "statistics.r=1", "statistics.k=1e300", "statistics.n_max=1"])
+@example(overrides=["verify.n_points=1000000000000"])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_verify_settings_exit_0_1_or_2(overrides):
+    _dense_command_exits_0_1_or_2("verify", overrides)
 
 
 def test_threads_option_is_gone(tmp_path):

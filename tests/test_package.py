@@ -1,6 +1,7 @@
 """The package's import contract: the layer modules load on first use, the
-re-exported names resolve, and ``edge-sim``, ``husimi`` and
-``star-convergence`` run without SciPy."""
+re-exported names resolve, ``edge-sim``, ``husimi`` and
+``star-convergence`` run without SciPy, and only a written edge-sim CSV
+loads the cell kernel ``arstat._g17``."""
 
 import json
 import subprocess
@@ -19,7 +20,8 @@ COMMAND_MODULES = """
 import json, sys
 import arstat.cli
 code = arstat.cli.main([*sys.argv[2:], "--out", sys.argv[1]])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "arstat._g17" in sys.modules]))
 """
 
 
@@ -41,9 +43,10 @@ def _star(*overrides):
         (_star("s=1", "n_max=80", "pair=number_raise_sq_lower_sq", "k_values=20,40,80"),
          "star_convergence.csv"),
         (_star("pair=number_sq_lower_sq", "k_values=8,12,16"), "star_convergence.csv"),
+        (["edge-sim", "--format", "json"], "edge_sim.json"),
     ],
     ids=["edge-sim", "husimi", "star-default", "star-r2", "star-bosonic", "star-identity",
-         "star-commuting-bosonic", "star-number-raise-bosonic", "star-number-sq"],
+         "star-commuting-bosonic", "star-number-raise-bosonic", "star-number-sq", "edge-sim-json"],
 )
 def test_command_never_imports_scipy(tmp_path, args, written):
     result = subprocess.run(
@@ -53,10 +56,22 @@ def test_command_never_imports_scipy(tmp_path, args, written):
         cwd=PKG_ROOT,
     )
     assert result.returncode == 0, result.stderr
-    code, scipy_modules = json.loads(result.stdout.splitlines()[-1])
+    code, scipy_modules, kernel = json.loads(result.stdout.splitlines()[-1])
     assert code == 0
     assert scipy_modules == []
     assert (tmp_path / written).is_file()
+    # only a written edge-sim CSV loads the cell kernel
+    assert kernel is (written == "edge_sim.csv")
+
+
+def test_import_loads_no_cell_kernel():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, arstat.cli; print('arstat._g17' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        cwd=PKG_ROOT,
+    )
+    assert result.stdout.split() == ["False"], result.stderr
 
 
 def test_every_exported_name_resolves_to_its_layer():
