@@ -7,11 +7,10 @@ bracket, and the chiral boson theory on the droplet edge.
 The five layer modules load on first use.  Importing the package registers
 each of them in ``sys.modules`` behind ``importlib.util.LazyLoader``, so a
 module body (and its numpy imports) runs on the first attribute access.
-No layer module imports SciPy at module level: each loads it inside the
-functions that build scipy.sparse matrices (the CSR view of the ladders
-among them) or Gauss quadrature rules, and of the commands only ``verify``
-and ``spectrum`` call those.  The names re-exported here resolve through
-the module ``__getattr__``.
+numpy is the one runtime dependency: SciPy is imported only inside the
+public functions that return scipy.sparse matrices (the CSR views of the
+ladders among them), and no command calls those.  The names re-exported
+here resolve through the module ``__getattr__``.
 """
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "verify_triple_relations",
     "hamiltonian",
     "hamiltonian_from_commutators",
+    "commutator_spectrum_deviation",
     "commutator_deviation",
     "large_k_commutator_deviation",
     "fermionic_dimension",
@@ -237,13 +238,6 @@ class FockBasis:
             log_factorials = log_factorials + log_factorial[column]
         return _read_only(0.5 * log_ratio[self.grades] - 0.5 * log_factorials)
 
-    def grade_projector(self, cap: int) -> sparse.csr_matrix:
-        """Diagonal projector onto states with total occupancy <= cap."""
-        from scipy import sparse
-
-        diag = (self.grades <= cap).astype(complex)
-        return sparse.diags(diag).tocsr()
-
     def unit_vector(self, occ: Sequence[int]) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=complex)
         vec[self.state_index(occ)] = 1.0
@@ -296,10 +290,12 @@ class Shift:
     Row j holds ``weight[j]`` in column ``source[j]``, so
     ``(op @ v)[j] = weight[j] * v[source[j]]`` for a vector v (row by row
     for a matrix); a row whose weight is zero holds no entry.  The product
-    of two shifts is a shift and so is a shift divided by a scalar, which
-    makes every monomial in the ladder and number operators one.  Each
-    row's entry is a single product of factors, as in the sparse product of
-    the same matrices.
+    of two shifts is a shift and so is a shift times or divided by a
+    scalar, which makes every monomial in the ladder and number operators
+    one.  Each row's entry is a single product of factors, as in the sparse
+    product of the same matrices.  Two shifts add to a shift when they
+    agree on the column of every row where both hold an entry, as any two
+    products that move the occupations by the same vector do.
     """
 
     source: np.ndarray
@@ -333,6 +329,22 @@ class Shift:
 
     def __truediv__(self, scalar) -> "Shift":
         return Shift(self.source, _read_only(self.weight / scalar))
+
+    def __mul__(self, scalar) -> "Shift":
+        return Shift(self.source, _read_only(self.weight * scalar))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: "Shift") -> "Shift":
+        held = self.weight != 0
+        both = held & (other.weight != 0)
+        if np.any(self.source[both] != other.source[both]):
+            raise ValueError("the shifts hold entries in different columns of one row")
+        return Shift(_read_only(np.where(held, self.source, other.source)), _read_only(self.weight + other.weight))
+
+    def __sub__(self, other: "Shift") -> "Shift":
+        # x + (-1 y) is x - y exactly for every finite entry
+        return self + -1.0 * other
 
     def tocsr(self) -> sparse.csr_matrix:
         """The same matrix in scipy.sparse CSR form."""
@@ -437,23 +449,21 @@ class RelationReport:
         )
 
 
-def _comm(a, b):
+def _comm(a: Shift, b: Shift) -> Shift:
     return a @ b - b @ a
 
 
-def _residual_norms(residual: sparse.spmatrix) -> ResidualNorms:
-    """Certified 2-norm bound and largest entry of a sparse residual.
+def _residual_norms(residual: Shift, kept: np.ndarray) -> ResidualNorms:
+    """Certified 2-norm bound and largest entry of a residual's kept rows.
 
     ||R||_2 <= sqrt(||R||_1 ||R||_inf) (Golub & Van Loan, Matrix
     Computations, 2.3).  The bound is exact when each row and column holds
     at most one entry, as in every ladder residual here: each one shifts
     the occupations by a single fixed vector.
     """
-    if residual.nnz == 0:
-        return ResidualNorms(0.0, 0.0)
-    mag = abs(residual)
-    bound = math.sqrt(float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max()))
-    return ResidualNorms(bound, float(mag.data.max()))
+    mag = np.where(kept, np.abs(residual.weight), 0.0)
+    column_sums = np.bincount(residual.source, weights=mag)
+    return ResidualNorms(math.sqrt(float(column_sums.max()) * float(mag.max())), float(mag.max()))
 
 
 def verify_triple_relations(basis: FockBasis, ladders: LadderOperators | None = None) -> RelationReport:
@@ -461,7 +471,7 @@ def verify_triple_relations(basis: FockBasis, ladders: LadderOperators | None = 
     spec = basis.spec
     if ladders is None:
         ladders = ladder_matrices(basis)
-    am, ap = ladders.minus, ladders.plus
+    am, ap = ladders.lowering, ladders.raising
     s = spec.s
     r = spec.r
 
@@ -469,14 +479,14 @@ def verify_triple_relations(basis: FockBasis, ladders: LadderOperators | None = 
         interior_cap = spec.total_cap - 2
     else:
         interior_cap = spec.total_cap
-    proj = basis.grade_projector(interior_cap)
+    interior = basis.grades <= interior_cap
 
     worst_raise = ResidualNorms(0.0, 0.0)
     worst_lower = ResidualNorms(0.0, 0.0)
     worst_mutual = ResidualNorms(0.0, 0.0)
 
-    def update(current: ResidualNorms, residual) -> ResidualNorms:
-        norms = _residual_norms(residual @ proj)
+    def update(current: ResidualNorms, residual: Shift) -> ResidualNorms:
+        norms = _residual_norms(residual, interior[residual.source])
         return ResidualNorms(
             max(norms.spectral, current.spectral), max(norms.max_abs, current.max_abs)
         )
@@ -538,10 +548,7 @@ def hamiltonian(basis: FockBasis, hspec: HamiltonianSpec) -> sparse.csr_matrix:
     ``hamiltonian_from_commutators`` produces on interior states, without
     the truncation artifact in the top occupancy layer.
     """
-    from scipy import sparse
-
-    diag = occupation_energies(basis, hspec).astype(complex)
-    return sparse.diags(diag).tocsr()
+    return Shift.diagonal(occupation_energies(basis, hspec)).tocsr()
 
 
 def occupation_energies(basis: FockBasis, hspec: HamiltonianSpec) -> np.ndarray:
@@ -561,6 +568,21 @@ def occupation_energies(basis: FockBasis, hspec: HamiltonianSpec) -> np.ndarray:
     return energies
 
 
+def _hamiltonian_from(spec: StatisticsSpec, hspec: HamiltonianSpec, comms: list[Shift]) -> Shift:
+    # e0 + sum_i e_i h_i from the commutators [a_i^-, a_i^+], each a diagonal shift
+    if len(hspec.e) != spec.r:
+        raise InvalidSpec(f"need {spec.r} mode energies, got {len(hspec.e)}")
+    total = comms[0]
+    for comm in comms[1:]:
+        total = total + comm
+    eye = Shift.identity(comms[0].weight.size)
+    h = hspec.e0 * eye
+    for e_i, comm in zip(hspec.e, comms):
+        h_i = (spec.s / (spec.r + 1.0)) * ((spec.r + 1.0) * comm - total) + energy_shift(spec) * eye
+        h = h + e_i * h_i
+    return h
+
+
 def hamiltonian_from_commutators(
     basis: FockBasis, hspec: HamiltonianSpec, ladders: LadderOperators | None = None
 ) -> sparse.csr_matrix:
@@ -570,24 +592,39 @@ def hamiltonian_from_commutators(
     with the vacuum-calibrated shift c.  Exact on the whole fermionic space;
     for s=+1 the truncated raising operators corrupt the commutators on the
     top layer, so agreement with ``hamiltonian`` holds on total occupancy
-    <= n_max - 1 only.
+    <= n_max - 1 only.  Assembled as a diagonal shift, returned as CSR.
     """
-    from scipy import sparse
-
-    spec = basis.spec
-    if len(hspec.e) != spec.r:
-        raise InvalidSpec(f"need {spec.r} mode energies, got {len(hspec.e)}")
     if ladders is None:
         ladders = ladder_matrices(basis)
-    comms = [_comm(ladders.minus[j], ladders.plus[j]).tocsr() for j in range(spec.r)]
-    total = sum(comms[1:], comms[0].copy()) if spec.r > 1 else comms[0]
-    eye = sparse.identity(basis.dim, dtype=complex, format="csr")
-    c = energy_shift(spec)
-    h = hspec.e0 * eye
-    for i in range(spec.r):
-        h_i = (spec.s / (spec.r + 1.0)) * ((spec.r + 1.0) * comms[i] - total) + c * eye
-        h = h + hspec.e[i] * h_i
-    return h.tocsr()
+    comms = [_comm(lower, upper) for lower, upper in zip(ladders.lowering, ladders.raising)]
+    return _hamiltonian_from(basis.spec, hspec, comms).tocsr()
+
+
+def commutator_spectrum_deviation(
+    basis: FockBasis, hspec: HamiltonianSpec, ladders: LadderOperators | None = None
+) -> float:
+    """Largest deviation of ``hamiltonian_from_commutators`` from diag(e0 + sum_i e_i n_i).
+
+    H is assembled from the diagonal entries of the products a_i^- a_i^+
+    and a_i^+ a_i^-, and any entry of theirs off the diagonal counts at its
+    size.  Rows: the whole fermionic space, total occupancy <= n_max - 1
+    for s=+1.  Mode i enters H with weight e_i - (e_1 + ... + e_r)/(r+1),
+    so where that is zero only its off-diagonal entries are seen.
+    """
+    if ladders is None:
+        ladders = ladder_matrices(basis)
+    energies = occupation_energies(basis, hspec)
+    rows = np.arange(basis.dim)
+    kept = basis.grades <= basis.spec.total_cap - (1 if basis.spec.s == +1 else 0)
+    comms, stray = [], 0.0
+    for lower, upper in zip(ladders.lowering, ladders.raising):
+        products = (lower @ upper, upper @ lower)
+        for op in products:
+            stray = max(stray, float(np.max(np.abs(op.weight[kept & (op.source != rows)]), initial=0.0)))
+        diagonal = [Shift.diagonal(np.where(op.source == rows, op.weight, 0.0)) for op in products]
+        comms.append(diagonal[0] - diagonal[1])
+    h = _hamiltonian_from(basis.spec, hspec, comms)
+    return max(stray, float(np.max(np.abs(h.weight - energies)[kept], initial=0.0)))
 
 
 def commutator_deviation(spec: StatisticsSpec, n_cap: int, ladders: LadderOperators | None = None) -> float:
@@ -595,10 +632,8 @@ def commutator_deviation(spec: StatisticsSpec, n_cap: int, ladders: LadderOperat
 
     The deviation is O(n_cap / k): the diagonal part of [a_i^-, a_i^+] is
     k - (1+s)/2 + s(n_tot + 1) + s n_i, and cross-mode commutators stay O(1).
-    The 2-norm is the certified bound of the sparse block, exact here.
+    The 2-norm is the certified bound of the shift block, exact here.
     """
-    from scipy import sparse
-
     if spec.s == +1 and spec.n_max < n_cap + 2:
         raise InvalidSpec("bosonic sweep needs n_max >= n_cap + 2")
     if n_cap > spec.total_cap:
@@ -606,15 +641,15 @@ def commutator_deviation(spec: StatisticsSpec, n_cap: int, ladders: LadderOperat
     if ladders is None:
         ladders = ladder_matrices(enumerate_basis(spec))
     basis = ladders.basis
-    keep = np.flatnonzero(basis.grades <= n_cap)
-    eye = sparse.identity(basis.dim, dtype=complex, format="csr")
+    keep = basis.grades <= n_cap
+    eye = Shift.identity(basis.dim)
     worst = 0.0
     for i in range(spec.r):
         for j in range(spec.r):
-            comm = _comm(ladders.minus[i], ladders.plus[j])
+            comm = _comm(ladders.lowering[i], ladders.raising[j])
             if i == j:
                 comm = comm - spec.k * eye
-            worst = max(worst, _residual_norms(comm[keep][:, keep]).spectral)
+            worst = max(worst, _residual_norms(comm, keep & keep[comm.source]).spectral)
     return worst / spec.k
 
 

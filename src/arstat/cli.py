@@ -65,7 +65,7 @@ DEFAULT_CONFIG = {
     "verify": {"n_points": "20"},
     "tolerances": {
         "triple": "1e-10",
-        "hermiticity": "1e-15",
+        "differential": "1e-10",
         "spectrum": "1e-12",
         "gram": "1e-6",
         "metric_inverse": "1e-10",
@@ -78,10 +78,6 @@ DEFAULT_CONFIG = {
 }
 
 SLOPE_BAND = (-2.3, -1.7)
-
-# verify and spectrum diagonalize a dense Hamiltonian: 4096 states are
-# 256 MiB of complex entries
-DENSE_DIM_LIMIT = 4096
 
 # edge-sim holds about eight float arrays the size of its sample grid (the
 # samples, the derivatives of the action, FFT workspace) and writes one CSV
@@ -98,10 +94,17 @@ HUSIMI_POINT_LIMIT = 2**20
 # distance Hessian.  10,000 points take about 3.4 s on the default family
 VERIFY_POINT_LIMIT = 2**16
 
-# star-convergence builds one basis and its ladders per k.  The r=2
-# commuting_numbers sweep to k=1280 (820,440 states) takes about 1.9 s and
-# peaks at about 270 MiB
-SWEEP_DIM_LIMIT = 2**21
+# verify's Gram check integrates on a tensor Gauss rule of 48 nodes per
+# mode: an array of r numbers per grid point is 170 MiB at 48^4 points and
+# 1.9 GiB at 48^5
+VERIFY_MAX_MODES = 4
+
+# verify, spectrum and star-convergence hold a basis and its 2r ladder
+# shifts, 24 bytes a state each, and form products and sums of shifts.  At
+# r=2 and 2^21 states spectrum takes about 9 s and peaks at about 1 GiB;
+# the r=2 commuting_numbers sweep to k=1280 (820,440 states) takes about
+# 1.9 s and 270 MiB
+BASIS_DIM_LIMIT = 2**21
 
 
 # ------------------------------------------------------------ configuration
@@ -195,7 +198,7 @@ def load_config(args) -> RunConfig:
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {fmt!r}")
-    return RunConfig(
+    cfg = RunConfig(
         command=args.command,
         parser=parser,
         out_dir=Path(out_dir),
@@ -203,6 +206,11 @@ def load_config(args) -> RunConfig:
         seed=args.seed,
         config_hash=digest,
     )
+    for key in parser["tolerances"]:
+        tolerance = cfg.get("tolerances", key, float)
+        if not (math.isfinite(tolerance) and tolerance >= 0.0):
+            raise ConfigError(f"[tolerances] {key} = {tolerance} must be finite and non-negative")
+    return cfg
 
 
 def statistics_spec(cfg: RunConfig) -> algebra.StatisticsSpec:
@@ -229,12 +237,12 @@ def _basis_excess(spec: algebra.StatisticsSpec, limit: int) -> str | None:
     return f"basis dimension {dim}" if dim > limit else None
 
 
-def dense_statistics_spec(cfg: RunConfig) -> algebra.StatisticsSpec:
-    """The configured family, refused before any work if a dense matrix on it is too large."""
+def sized_statistics_spec(cfg: RunConfig) -> algebra.StatisticsSpec:
+    """The configured family, refused before any work if its basis is too large."""
     spec = statistics_spec(cfg)
-    excess = _basis_excess(spec, DENSE_DIM_LIMIT)
+    excess = _basis_excess(spec, BASIS_DIM_LIMIT)
     if excess:
-        raise SizeError(f"{excess} exceeds the dense limit of {DENSE_DIM_LIMIT} states")
+        raise SizeError(f"{excess} exceeds the limit of {BASIS_DIM_LIMIT} states")
     return spec
 
 
@@ -320,7 +328,7 @@ def write_csv(cfg: RunConfig, name: str, header: list[str], blocks) -> Path | No
     return path
 
 
-def emit_checks(cfg: RunConfig, name: str, checks: list[Check], extra: dict | None = None) -> int:
+def emit_checks(cfg: RunConfig, name: str, checks: list[Check]) -> int:
     for check in checks:
         status = "pass" if check.passed else "FAIL"
         print(f"  [{status}] {check.name}: {check.value:.3e} (tolerance {check.tolerance:.1e})")
@@ -338,8 +346,6 @@ def emit_checks(cfg: RunConfig, name: str, checks: list[Check], extra: dict | No
         ],
         "status": "pass" if all(c.passed for c in checks) else "fail",
     }
-    if extra:
-        payload.update(extra)
     write_json(cfg, name, payload)
     return 0 if all(c.passed for c in checks) else 1
 
@@ -347,7 +353,9 @@ def emit_checks(cfg: RunConfig, name: str, checks: list[Check], extra: dict | No
 # ---------------------------------------------------------------- commands
 
 def cmd_verify(cfg: RunConfig) -> int:
-    spec = dense_statistics_spec(cfg)
+    spec = sized_statistics_spec(cfg)
+    if spec.r > VERIFY_MAX_MODES:
+        raise SizeError(f"[statistics] r = {spec.r} needs a quadrature grid of 48^{spec.r} points, past 48^4")
     tol = lambda key: cfg.get("tolerances", key, float)
     n_points = cfg.get_count("verify", "n_points", 1)
     if n_points > VERIFY_POINT_LIMIT:
@@ -366,73 +374,37 @@ def cmd_verify(cfg: RunConfig) -> int:
     points = [random_point() for _ in range(n_points)]
     pairs = [(random_point(), random_point()) for _ in range(n_points)]
 
-    def check_triple():
-        report = algebra.verify_triple_relations(basis, ladders)
-        return Check("triple_relations", report.max_residual, tol("triple"))
-
-    def check_hermiticity():
-        diffs = [ladders.plus[i] - ladders.minus[i].conj().T for i in range(spec.r)]
-        worst = max(float(np.max(np.abs(d.data), initial=0.0)) for d in diffs)
-        return Check("ladder_hermiticity", worst, tol("hermiticity"))
-
-    def check_spectrum():
-        h = algebra.hamiltonian(basis, hspec).toarray()
-        eigs = np.sort(np.linalg.eigvalsh(h))
-        expected = np.sort(algebra.occupation_energies(basis, hspec))
-        return Check("spectrum_vs_occupations", float(np.max(np.abs(eigs - expected))), tol("spectrum"))
-
-    def check_dimension():
-        expected = algebra.basis_dimension(spec)
-        return Check("dimension_closed_form", float(abs(basis.dim - expected)), 0.0)
-
-    def check_gram():
-        rule = bargmann.build_quadrature(spec, n_radial=48)
-        keep = np.flatnonzero(basis.grades <= min(4, spec.total_cap))
-        gram = bargmann.orthonormality_gram(rule, basis)[np.ix_(keep, keep)]
-        return Check(
-            "quadrature_orthonormality", float(np.max(np.abs(gram - np.eye(len(keep))))), tol("gram")
-        )
-
-    def check_metric_inverse():
-        worst = 0.0
-        for z in points:
-            m = bargmann.metric(spec, z)
-            worst = max(worst, float(np.max(np.abs(m.g @ m.g_inv - np.eye(spec.r)))))
-        return Check("metric_inverse_identity", worst, tol("metric_inverse"))
-
-    def check_metric_hessian():
-        worst = 0.0
-        for z in points[: max(3, n_points // 4)]:
-            m = bargmann.metric(spec, z)
-            hess = bargmann.distance_hessian(spec, z)
-            worst = max(worst, float(np.max(np.abs(m.g - hess))))
-        return Check("metric_vs_distance_hessian", worst, tol("metric_hessian"))
-
-    def check_overlap():
-        worst = 0.0
-        for z, w in pairs:
-            closed = bargmann.overlap(spec, z, w)
-            series = bargmann.overlap_from_vectors(spec, basis, z, w)
-            worst = max(worst, abs(closed - series))
-        return Check("overlap_dual_path", worst, tol("overlap"))
-
-    tasks = [
-        check_triple,
-        check_hermiticity,
-        check_spectrum,
-        check_dimension,
-        check_gram,
-        check_metric_inverse,
-        check_metric_hessian,
-        check_overlap,
-    ]
     start = time.perf_counter()
     # A family with a huge label overflows the quadrature and the measure
     # (a bosonic k = 1e300 asks for a Gauss-Jacobi rule of weight
     # (1 - t)^1e300); the inf or nan that would follow is refused.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            checks = [fn() for fn in tasks]
+            relations = algebra.verify_triple_relations(basis, ladders)
+            differential = bargmann.differential_realization_check(spec, basis, spec.total_cap, ladders)
+            rule = bargmann.build_quadrature(spec, n_radial=48)
+            gram = bargmann.orthonormality_gram(rule, basis, cap=min(4, spec.total_cap))
+            metrics = [bargmann.metric(spec, z) for z in points]
+            checks = [
+                Check("triple_relations", relations.max_residual, tol("triple")),
+                Check("differential_realization", differential.max_residual, tol("differential")),
+                Check("spectrum_vs_occupations",
+                      algebra.commutator_spectrum_deviation(basis, hspec, ladders), tol("spectrum")),
+                Check("dimension_closed_form", float(abs(basis.dim - algebra.basis_dimension(spec))), 0.0),
+                Check("quadrature_orthonormality",
+                      float(np.max(np.abs(gram - np.eye(len(gram))))), tol("gram")),
+                Check("metric_inverse_identity",
+                      max(float(np.max(np.abs(m.g @ m.g_inv - np.eye(spec.r)))) for m in metrics),
+                      tol("metric_inverse")),
+                Check("metric_vs_distance_hessian",
+                      max(float(np.max(np.abs(m.g - bargmann.distance_hessian(spec, m.point))))
+                          for m in metrics[: max(3, n_points // 4)]),
+                      tol("metric_hessian")),
+                Check("overlap_dual_path",
+                      max(abs(bargmann.overlap(spec, z, w) - bargmann.overlap_from_vectors(spec, basis, z, w))
+                          for z, w in pairs),
+                      tol("overlap")),
+            ]
     except (FloatingPointError, OverflowError) as exc:
         raise ConfigError(f"[statistics] the family overflows double precision ({exc})") from None
     elapsed = time.perf_counter() - start
@@ -441,14 +413,17 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    spec = dense_statistics_spec(cfg)
+    spec = sized_statistics_spec(cfg)
     hspec = hamiltonian_spec(cfg, spec.r)
     basis = algebra.enumerate_basis(spec)
-    h = algebra.hamiltonian(basis, hspec).toarray()
-    eigs = np.sort(np.linalg.eigvalsh(h))
     energies = algebra.occupation_energies(basis, hspec)
-    expected = np.sort(energies)
-    deviation = float(np.max(np.abs(eigs - expected))) if basis.dim else 0.0
+    # A label or energies near the top of double precision can overflow the
+    # commutator assembly (a bosonic k = 8.9e307); the inf or nan is refused.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            deviation = algebra.commutator_spectrum_deviation(basis, hspec)
+    except FloatingPointError as exc:
+        raise ConfigError(f"the commutator Hamiltonian overflows double precision ({exc})") from None
     tol = cfg.get("tolerances", "spectrum", float)
 
     header = [f"n_{i + 1}" for i in range(spec.r)] + ["energy"]
@@ -553,9 +528,9 @@ def cmd_star_convergence(cfg: RunConfig) -> int:
         return algebra.StatisticsSpec(r=r, s=+1, k=k, n_max=sweep_n_max)
 
     for k in k_values:
-        excess = _basis_excess(build_spec(k), SWEEP_DIM_LIMIT)
+        excess = _basis_excess(build_spec(k), BASIS_DIM_LIMIT)
         if excess:
-            raise SizeError(f"[sweep] at k = {k:g} the {excess} exceeds {SWEEP_DIM_LIMIT} states")
+            raise SizeError(f"[sweep] at k = {k:g} the {excess} exceeds {BASIS_DIM_LIMIT} states")
 
     groups = cfg.get("sweep", "points", _parse_complex_groups, required=False)
     if groups is None:

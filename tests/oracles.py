@@ -4,7 +4,8 @@ Everything here is deliberately written by a different route than the
 library code it checks: brute-force enumeration, log-space series with
 Kahan compensation, raw Dirichlet/Beta integrals via scipy, dense
 singular-value 2-norms, central-difference derivatives, a CSV joined
-row by row in memory, ladders assembled as scipy.sparse matrices.
+row by row in memory, ladders assembled as scipy.sparse matrices and the
+triple relations and commutators formed in scipy.sparse arithmetic.
 """
 
 import itertools
@@ -69,6 +70,71 @@ def sparse_ladders(basis):
         minus.append(a)
         plus.append(a.conj().T.tocsr())
     return tuple(minus), tuple(plus)
+
+
+def _csr_residual_norms(residual):
+    # (certified 2-norm bound sqrt(||R||_1 ||R||_inf), largest entry)
+    if residual.nnz == 0:
+        return 0.0, 0.0
+    mag = abs(residual)
+    bound = math.sqrt(float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max()))
+    return bound, float(mag.data.max())
+
+
+def csr_triple_relations(basis):
+    """((bound, max entry) of the raise, lower and mutual residuals, worst
+    over all mode triples), by scipy.sparse arithmetic on ``sparse_ladders``
+    with the columns projected onto the interior grades."""
+    from scipy import sparse
+
+    spec = basis.spec
+    s, r = spec.s, spec.r
+    am, ap = sparse_ladders(basis)
+    interior_cap = spec.total_cap - (2 if s == +1 else 0)
+    proj = sparse.diags((basis.grades <= interior_cap).astype(complex)).tocsr()
+    worst = {"raise": (0.0, 0.0), "lower": (0.0, 0.0), "mutual": (0.0, 0.0)}
+
+    def update(name, residual):
+        norms = _csr_residual_norms(residual @ proj)
+        worst[name] = (max(norms[0], worst[name][0]), max(norms[1], worst[name][1]))
+
+    for i in range(r):
+        for j in range(r):
+            inner = _comm(ap[i], am[j])
+            for k in range(r):
+                res_raise = _comm(inner, ap[k])
+                res_lower = _comm(inner, am[k])
+                if j == k:
+                    res_raise = res_raise + s * ap[i]
+                if i == k:
+                    res_lower = res_lower - s * am[j]
+                if i == j:
+                    res_raise = res_raise + s * ap[k]
+                    res_lower = res_lower - s * am[k]
+                update("raise", res_raise)
+                update("lower", res_lower)
+            update("mutual", _comm(am[i], am[j]))
+            update("mutual", _comm(ap[i], ap[j]))
+    return worst["raise"], worst["lower"], worst["mutual"]
+
+
+def csr_commutator_deviation(basis, n_cap):
+    """max_ij ||P([a_i^-, a_j^+] - k d_ij)P|| / k by the certified bound of
+    the scipy.sparse block on total occupancy <= n_cap."""
+    from scipy import sparse
+
+    spec = basis.spec
+    am, ap = sparse_ladders(basis)
+    keep = np.flatnonzero(basis.grades <= n_cap)
+    eye = sparse.identity(basis.dim, dtype=complex, format="csr")
+    worst = 0.0
+    for i in range(spec.r):
+        for j in range(spec.r):
+            comm = _comm(am[i], ap[j])
+            if i == j:
+                comm = comm - spec.k * eye
+            worst = max(worst, _csr_residual_norms(comm[keep][:, keep])[0])
+    return worst / spec.k
 
 
 def sparse_standard_pairs(basis):
@@ -159,7 +225,7 @@ def negative_binomial_cdf(k, rho, n):
     return min(1.0, math.exp(peak) * kahan_sum(math.exp(t - peak) for t in log_terms))
 
 
-def _dense_comm(a, b):
+def _comm(a, b):
     return a @ b - b @ a
 
 
@@ -174,12 +240,12 @@ def dense_triple_residual_norm(ladders, interior_cap):
     residuals = []
     for i in range(r):
         for j in range(r):
-            inner = _dense_comm(ap[i], am[j])
+            inner = _comm(ap[i], am[j])
             for k in range(r):
-                residuals.append(_dense_comm(inner, ap[k]) + s * (j == k) * ap[i] + s * (i == j) * ap[k])
-                residuals.append(_dense_comm(inner, am[k]) - s * (i == k) * am[j] - s * (i == j) * am[k])
-            residuals.append(_dense_comm(am[i], am[j]))
-            residuals.append(_dense_comm(ap[i], ap[j]))
+                residuals.append(_comm(inner, ap[k]) + s * (j == k) * ap[i] + s * (i == j) * ap[k])
+                residuals.append(_comm(inner, am[k]) - s * (i == k) * am[j] - s * (i == j) * am[k])
+            residuals.append(_comm(am[i], am[j]))
+            residuals.append(_comm(ap[i], ap[j]))
     return max(float(np.linalg.norm(res[:, keep], 2)) for res in residuals)
 
 
@@ -199,7 +265,7 @@ def dense_commutator_deviation(ladders, k, n_cap):
         for j in range(r):
             am = ladders.minus[i][:reach, :reach].toarray()
             ap = ladders.plus[j][:reach, :reach].toarray()
-            comm = _dense_comm(am, ap)[:keep, :keep]
+            comm = _comm(am, ap)[:keep, :keep]
             if i == j:
                 comm -= k * np.eye(keep)
             worst = max(worst, float(np.linalg.norm(comm, 2)))
@@ -220,7 +286,7 @@ def full_tensor_mode_residual(algebra):
 
     def check(a, b, expected_scalar):
         nonlocal worst
-        residual = proj @ (_dense_comm(a, b) - expected_scalar * eye) @ proj
+        residual = proj @ (_comm(a, b) - expected_scalar * eye) @ proj
         if residual.nnz:
             worst = max(worst, float(np.max(np.abs(residual.data))))
 
@@ -265,5 +331,5 @@ def radial_cutoff_rule(spec, n_radial, cutoff):
     base = np.prod(np.array(list(itertools.product(weights, repeat=r))), axis=1)
     norm = measure_normalization(spec)
     density = norm.analytic * (1.0 + np.sum(rho, axis=1)) ** (-(k + r))
-    rule = QuadratureRule(spec, "radial_cutoff", n_radial, rho, base * density, norm)
+    rule = QuadratureRule(spec, rho, base * density, norm)
     return rule, r * (1.0 + cutoff) ** (-k)

@@ -19,7 +19,7 @@ from arstat.algebra import (
     StatisticsSpec,
     enumerate_basis,
     fermionic_dimension,
-    hamiltonian,
+    hamiltonian_from_commutators,
     large_k_commutator_deviation,
     verify_triple_relations,
 )
@@ -79,12 +79,17 @@ def test_criterion_2_dimension_and_spectrum():
             basis = enumerate_basis(spec)
             dims_ok = dims_ok and basis.dim == fermionic_dimension(r, k)
             hspec = HamiltonianSpec(e0=0.25, e=tuple(0.5 + 0.3 * i for i in range(r)))
-            h = hamiltonian(basis, hspec).toarray()
-            eigs = np.sort(np.linalg.eigvalsh(h))
-            expected = np.sort(
-                [hspec.e0 + sum(e * n for e, n in zip(hspec.e, occ)) for occ in basis.occupations.tolist()]
-            )
-            worst = max(worst, float(np.max(np.abs(eigs - expected))))
+            # H assembled from the ladder commutators must be diagonal, with
+            # e0 + sum_i e_i n_i on state n
+            h = hamiltonian_from_commutators(basis, hspec).tocoo()
+            on_diagonal = h.row == h.col
+            expected = [
+                hspec.e0 + sum(e * n for e, n in zip(hspec.e, occ)) for occ in basis.occupations.tolist()
+            ]
+            diagonal = np.zeros(basis.dim, dtype=complex)
+            diagonal[h.row[on_diagonal]] = h.data[on_diagonal]
+            worst = max(worst, float(np.max(np.abs(diagonal - expected))),
+                        float(np.max(np.abs(h.data[~on_diagonal]), initial=0.0)))
     elapsed = time.perf_counter() - start
     passed = dims_ok and worst < 1e-12
     report(2, "dimension & spectrum", passed, elapsed, 5.0,

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from arstat.algebra import (
     HamiltonianSpec,
     StatisticsSpec,
+    Shift,
     basis_dimension,
     commutator_deviation,
+    commutator_spectrum_deviation,
     energy_shift,
     enumerate_basis,
     fermionic_dimension,
@@ -26,6 +28,8 @@ from arstat.errors import InvalidSpec, ModeOutOfRange
 
 from oracles import (
     brute_force_states,
+    csr_commutator_deviation,
+    csr_triple_relations,
     dense_commutator_deviation,
     dense_triple_residual_norm,
     ladder_chain_coefficient,
@@ -386,8 +390,8 @@ def test_single_mode_triple_contraction(s):
     ap, am = ops.plus[0].toarray(), ops.minus[0].toarray()
     inner = ap @ am - am @ ap
     lhs = inner @ ap - ap @ inner
-    proj = basis.grade_projector(spec.total_cap - (2 if s == +1 else 0)).toarray()
-    assert np.max(np.abs((lhs + 2 * s * ap) @ proj)) < 1e-12
+    interior = basis.grades <= spec.total_cap - (2 if s == +1 else 0)
+    assert np.max(np.abs((lhs + 2 * s * ap)[:, interior])) < 1e-12
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -422,6 +426,55 @@ def test_shift_products_and_quotients_match_the_sparse_ones():
         assert np.array_equal(shift.tocsr().toarray(), matrix.toarray())
         assert np.array_equal(shift @ v, matrix @ v)
         assert np.array_equal(shift @ block, matrix @ block)
+
+
+def test_shift_sums_and_scalar_products_match_the_sparse_ones():
+    basis = enumerate_basis(StatisticsSpec(r=2, s=+1, k=2.5, n_max=6))
+    ladders = ladder_matrices(basis)
+    up, dn = ladders.raising[0], ladders.lowering[1]
+    cup, cdn = ladders.plus[0], ladders.minus[1]
+    # both terms move the occupations by e_0 - e_1
+    pairs = [(up @ dn + dn @ up, cup @ cdn + cdn @ cup),
+             (up @ dn - dn @ up, cup @ cdn - cdn @ cup),
+             (-1 * up + 2.5 * up, -1 * cup + 2.5 * cup),
+             (up * 0.5 - up, cup * 0.5 - cup)]
+    for shift, matrix in pairs:
+        assert not shift.source.flags.writeable and not shift.weight.flags.writeable
+        assert np.array_equal(shift.tocsr().toarray(), matrix.toarray())
+
+
+def test_shift_sum_refuses_entries_in_different_columns_of_a_row():
+    basis = enumerate_basis(StatisticsSpec(r=2, s=-1, k=4))
+    ladders = ladder_matrices(basis)
+    up0, up1 = ladders.raising
+    with pytest.raises(ValueError, match="different columns"):
+        up0 + up1
+    with pytest.raises(ValueError, match="different columns"):
+        up0 - up1
+    # rows where either weight is zero hold no entry, whatever their source
+    empty = Shift(up1.source, np.zeros(basis.dim, dtype=complex))
+    assert np.array_equal((up0 + empty).tocsr().toarray(), ladders.plus[0].toarray())
+    assert np.array_equal((empty - up0).tocsr().toarray(), -ladders.plus[0].toarray())
+
+
+# r=4 k=13 has 1,820 states and the bosonic family 12,341
+SHIFT_VS_CSR_SPECS = [StatisticsSpec(r=4, s=-1, k=13), StatisticsSpec(r=3, s=+1, k=3.5, n_max=40)]
+
+
+@pytest.mark.parametrize("spec", SHIFT_VS_CSR_SPECS, ids=["r4-k13", "bosonic-r3"])
+def test_shift_triple_relations_are_bitwise_the_csr_ones(spec):
+    report = verify_triple_relations(enumerate_basis(spec))
+    norms = [report.triple_raise, report.triple_lower, report.mutual_commute]
+    assert [(n.spectral, n.max_abs) for n in norms] == list(csr_triple_relations(enumerate_basis(spec)))
+    assert report.max_residual > 0.0
+
+
+@pytest.mark.parametrize("spec", SHIFT_VS_CSR_SPECS, ids=["r4-k13", "bosonic-r3"])
+def test_shift_commutator_deviation_is_bitwise_the_csr_one(spec):
+    basis = enumerate_basis(spec)
+    ladders = ladder_matrices(basis)
+    for n_cap in (0, 2, spec.total_cap - 2):
+        assert commutator_deviation(spec, n_cap, ladders) == csr_commutator_deviation(basis, n_cap)
 
 
 # ----------------------------------------------------------- Hamiltonian
@@ -472,8 +525,43 @@ def test_hamiltonian_dual_path_agrees_on_interior(spec):
     direct = hamiltonian(basis, hspec).toarray()
     assembled = hamiltonian_from_commutators(basis, hspec).toarray()
     cap = spec.total_cap - (1 if spec.s == +1 else 0)
-    proj = basis.grade_projector(cap).toarray()
-    assert np.max(np.abs((direct - assembled) @ proj)) < 1e-12
+    assert np.max(np.abs((direct - assembled)[:, basis.grades <= cap])) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [StatisticsSpec(r=3, s=-1, k=6), StatisticsSpec(r=2, s=+1, k=2.5, n_max=8),
+     StatisticsSpec(r=1, s=+1, k=3.0, n_max=0)],
+)
+def test_commutator_spectrum_matches_the_occupation_energies(spec):
+    basis = enumerate_basis(spec)
+    hspec = HamiltonianSpec(e0=-0.4, e=tuple(0.5 + 0.75 * i for i in range(spec.r)))
+    assert commutator_spectrum_deviation(basis, hspec) < 1e-13
+
+
+def test_commutator_spectrum_catches_a_one_percent_amplitude_error():
+    spec = StatisticsSpec(r=2, s=-1, k=5)
+    basis = enumerate_basis(spec)
+    ladders = ladder_matrices(basis)
+    corrupted = _scaled(ladders, "minus", 0, (0, 1), (1, 1), 1.01)
+    # mode i enters H with weight e_i - (e_1 + e_2)/3: with energies (1, 2)
+    # mode 0 drops out, with (1, 3) it does not
+    blind, seen = HamiltonianSpec(e0=0.0, e=(1.0, 2.0)), HamiltonianSpec(e0=0.0, e=(1.0, 3.0))
+    assert commutator_spectrum_deviation(basis, blind, corrupted) < 1e-13
+    assert commutator_spectrum_deviation(basis, seen, corrupted) > 0.01
+    assert commutator_spectrum_deviation(basis, seen, ladders) < 1e-13
+
+
+def test_commutator_spectrum_counts_an_off_diagonal_entry():
+    spec = StatisticsSpec(r=1, s=-1, k=4)
+    basis = enumerate_basis(spec)
+    ladders = ladder_matrices(basis)
+    hspec = HamiltonianSpec(e0=0.0, e=(1.0,))
+    # a lowering entry that keeps its amplitude sqrt(F(2)) = 2 but moves from
+    # column |2> to |3> puts a^+ a^- = F(2) = 4 at (|2>, |3>), off the diagonal
+    row = basis.state_index((1,))
+    stray = _with_entry(ladders, "minus", 0, row, basis.state_index((3,)), ladders.lowering[0].weight[row])
+    assert commutator_spectrum_deviation(basis, hspec, stray) == 4.0
 
 
 def test_hamiltonian_degenerate_when_energies_vanish():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from arstat.algebra import StatisticsSpec, enumerate_basis, ladder_matrices
 from arstat.bargmann import (
+    _jacobi_unit_interval,
+    _legendre_unit_interval,
     bosonic_tail_bound,
     build_quadrature,
     coefficient,
@@ -406,6 +408,57 @@ def test_quadrature_weights_positive_nodes_in_domain(spec):
     assert np.all(rule.rho >= 0)
     if spec.s == +1:
         assert np.all(np.sum(rule.rho, axis=1) < 1.0)
+
+
+def test_gauss_legendre_rule_is_scipys():
+    from scipy.special import roots_legendre
+
+    t, w = _legendre_unit_interval(48)
+    x, wx = roots_legendre(48)
+    assert np.max(np.abs(t - (x + 1.0) / 2.0)) <= 1e-15
+    assert np.max(np.abs(w - wx / 2.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 3.5, 40.0, 250.0, 997.0])
+def test_gauss_jacobi_rule_is_scipys(alpha):
+    # the same rule as scipy's on [-1, 1], mapped to [0, 1]: nodes to 1e-15
+    # absolute, moments of t^0 ... t^4 to 1e-11 relative (4.1e-12 at 997)
+    from scipy.special import roots_jacobi
+
+    t, w = _jacobi_unit_interval(48, alpha)
+    x, wx = roots_jacobi(48, alpha, 0.0)
+    assert np.max(np.abs(t - (x + 1.0) / 2.0)) <= 1e-15
+    for m in range(5):
+        reference = np.dot(wx * 2.0 ** (-alpha - 1.0), ((x + 1.0) / 2.0) ** m)
+        assert np.dot(w, t**m) == pytest.approx(reference, rel=1e-11, abs=0.0)
+
+
+def test_gauss_jacobi_rule_past_the_power_of_two_underflow():
+    # scipy's [-1, 1] weights carry 2^(alpha + 1), which overflows a double
+    # past alpha ~ 1023; on [0, 1] the zeroth moment is 1/(alpha + 1)
+    t, w = _jacobi_unit_interval(48, 2000.0)
+    assert np.sum(w) == pytest.approx(1.0 / 2001.0, rel=1e-13)
+    assert np.all((t > 0.0) & (t < 1.0)) and np.all(w > 0.0)
+
+
+def test_gram_on_the_leading_block_evaluates_no_other_moment(monkeypatch):
+    import arstat.bargmann as bargmann
+
+    spec = StatisticsSpec(r=2, s=-1, k=9)
+    basis = enumerate_basis(spec)
+    rule = build_quadrature(spec, n_radial=48)
+    full = orthonormality_gram(rule, basis)
+    moments = []
+    original = bargmann._radial_moment
+
+    def counted(*args):
+        moments.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bargmann, "_radial_moment", counted)
+    block = orthonormality_gram(rule, basis, cap=4)
+    assert len(moments) == len(block) == 15  # C(4 + 2, 2) states of grade <= 4
+    assert np.array_equal(block, full[:15, :15])
 
 
 def test_cutoff_rule_tail_error_and_agreement():

@@ -113,6 +113,19 @@ def test_differential_check_catches_a_wrong_amplitude():
     assert report.raise_residual < 1e-12
 
 
+def test_differential_check_catches_an_entry_moved_to_another_column():
+    # the amplitude is right, but it sits in the column of |0, 2>, not |1, 1>
+    spec = StatisticsSpec(r=2, s=-1, k=5)
+    basis = enumerate_basis(spec)
+    ladders = ladder_matrices(basis)
+    row = basis.state_index((0, 1))
+    amplitude = ladders.lowering[0].weight[row].real
+    moved = _with_entry(ladders, "minus", 0, row, basis.state_index((0, 2)), amplitude)
+    report = differential_realization_check(spec, basis, 4, moved)
+    assert report.lower_residual == pytest.approx(amplitude)
+    assert report.raise_residual < 1e-12
+
+
 def test_differential_check_catches_a_stray_entry_past_the_cap():
     # the top grade has no admissible raise, so its columns must stay empty
     spec = StatisticsSpec(r=2, s=-1, k=4)

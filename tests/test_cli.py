@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -41,7 +42,9 @@ def test_verify_default_config_passes(tmp_path):
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["status"] == "pass"
     names = {c["name"] for c in report["checks"]}
-    assert {"triple_relations", "spectrum_vs_occupations", "overlap_dual_path"} <= names
+    assert {"triple_relations", "differential_realization", "spectrum_vs_occupations",
+            "overlap_dual_path"} <= names
+    assert "ladder_hermiticity" not in names
 
 
 def test_verify_rejects_inadmissible_label(tmp_path):
@@ -344,8 +347,18 @@ RESOLVED_EDGE = [
         # occupation energies that overflow double precision
         ("spectrum", ["hamiltonian.e=1e308,1e308"]),
         ("verify", ["hamiltonian.e=1e308,1e308"]),
-        # a dense family whose dimension is too large to count
+        # a family whose dimension is too large to count
         ("verify", ["statistics.r=10000000", "statistics.k=10000000"]),
+        # five modes ask for a 48^5-point quadrature grid (1.9 GiB an array)
+        ("verify", ["statistics.r=5", "statistics.k=2"]),
+        # a tolerance must be finite and non-negative
+        ("verify", ["tolerances.triple=nan"]),
+        ("verify", ["tolerances.differential=-1e-10"]),
+        ("verify", ["tolerances.overlap=inf"]),
+        ("spectrum", ["tolerances.spectrum=nan"]),
+        ("spectrum", ["tolerances.spectrum=-1"]),
+        ("edge-sim", ["tolerances.eom=nan"]),
+        ("edge-sim", ["tolerances.action=-inf"]),
     ],
 )
 def test_config_shaped_values_exit_two(tmp_path, command, overrides):
@@ -361,15 +374,15 @@ def test_basis_size_gate_counts_states_and_modes():
     def excess(limit, **fields):
         return cli._basis_excess(algebra.StatisticsSpec(**fields), limit)
 
-    # three modes to k=200 are 1,353,400 states, under the sweep limit
-    assert excess(cli.SWEEP_DIM_LIMIT, r=3, s=-1, k=200) is None
-    assert excess(cli.SWEEP_DIM_LIMIT, r=3, s=-1, k=300) == "basis dimension 4545100"
-    assert excess(cli.DENSE_DIM_LIMIT, r=2, s=-1, k=16) is None
-    assert excess(cli.DENSE_DIM_LIMIT, r=2, s=-1, k=100) == "basis dimension 5050"
+    # three modes to k=200 are 1,353,400 states, under the limit
+    assert excess(cli.BASIS_DIM_LIMIT, r=3, s=-1, k=200) is None
+    assert excess(cli.BASIS_DIM_LIMIT, r=3, s=-1, k=300) == "basis dimension 4545100"
+    assert excess(4096, r=2, s=-1, k=16) is None
+    assert excess(4096, r=2, s=-1, k=100) == "basis dimension 5050"
     # huge arguments are settled by cap + r before C(cap + r, r) is counted
     huge = 10**12
-    assert excess(cli.SWEEP_DIM_LIMIT, r=huge, s=-1, k=huge) == f"mode count plus occupancy cap {2 * huge - 1}"
-    assert excess(cli.SWEEP_DIM_LIMIT, r=huge, s=+1, k=2.0, n_max=0) == f"mode count plus occupancy cap {huge}"
+    assert excess(cli.BASIS_DIM_LIMIT, r=huge, s=-1, k=huge) == f"mode count plus occupancy cap {2 * huge - 1}"
+    assert excess(cli.BASIS_DIM_LIMIT, r=huge, s=+1, k=2.0, n_max=0) == f"mode count plus occupancy cap {huge}"
 
 
 def _edge_args(out, overrides, *extra):
@@ -744,30 +757,87 @@ def test_husimi_settings_exit_0_1_or_2(overrides):
     assert "Traceback" not in errors.getvalue()
 
 
-@pytest.mark.parametrize("command", ["spectrum", "verify"])
-def test_dense_commands_refuse_a_large_basis(tmp_path, command):
-    # r=40, k=4 has 12,341 states: a 2.4 GB dense Hamiltonian
+@pytest.mark.parametrize(
+    "command,overrides,reason",
+    [
+        # r=3, k=300 has 4,545,100 states, past the 2^21 of the basis gate
+        ("spectrum", ["statistics.r=3", "statistics.k=300"], "basis dimension 4545100"),
+        # r=40, k=4 has 12,341 states, but verify's Gram check would need a
+        # quadrature grid of 48^40 points
+        ("verify", ["statistics.r=40"], "48^40 points"),
+    ],
+    ids=["spectrum", "verify"],
+)
+def test_dense_commands_refuse_a_large_basis(tmp_path, command, overrides, reason):
     start = time.perf_counter()
-    result = run_cli(command, "--out", str(tmp_path), "--set", "statistics.r=40")
+    result = run_cli(command, "--out", str(tmp_path), *(f"--set={item}" for item in overrides))
     elapsed = time.perf_counter() - start
     assert result.returncode == 2, result.stderr
-    assert result.stderr.startswith("error: ") and "12341" in result.stderr
+    assert result.stderr.startswith("error: ") and reason in result.stderr
     assert elapsed < 10.0
     assert not any(tmp_path.iterdir())
 
 
+def test_spectrum_runs_where_the_dense_limit_stood(tmp_path):
+    # r=40, k=4: 12,341 states, which the 4096-state dense limit refused
+    result = run_cli("spectrum", "--out", str(tmp_path), "--set", "statistics.r=40")
+    assert result.returncode == 0, result.stderr
+    meta = json.loads((tmp_path / "spectrum.json").read_text())
+    assert meta["dimension"] == meta["closed_form_dimension"] == 12341
+    assert meta["exact_match"] is True
+
+
+def test_a_tolerance_that_is_not_a_finite_non_negative_number_writes_nothing(tmp_path):
+    for value in ("nan", "-1e-10", "inf"):
+        result = run_cli("verify", "--out", str(tmp_path), "--set", f"tolerances.triple={value}")
+        assert result.returncode == 2, result.stderr
+        assert "[tolerances] triple" in result.stderr and "finite and non-negative" in result.stderr
+        assert not any(tmp_path.iterdir())
+    # zero is a tolerance: the checks that are not exact then fail
+    assert run_cli("verify", "--out", str(tmp_path), "--set", "tolerances.triple=0").returncode == 1
+
+
+def _one_lowering_amplitude_off_by_one_percent(real_ladder_matrices):
+    """A stand-in for ``algebra.ladder_matrices`` whose a_1^- entry from
+    |0, 1> to |0, 0> is 1 % too large.  It is the second mode's: at the
+    default energies (1, 2) the first mode drops out of H."""
+    def ladder_matrices(basis):
+        ladders = real_ladder_matrices(basis)
+        lowering = list(ladders.lowering)
+        row = basis.state_index((0, 0))
+        weight = lowering[1].weight.copy()
+        weight[row] *= 1.01
+        lowering[1] = algebra.Shift(lowering[1].source, weight)
+        return dataclasses.replace(ladders, lowering=tuple(lowering))
+    return ladder_matrices
+
+
+def test_verify_and_spectrum_catch_a_one_percent_ladder_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(algebra, "ladder_matrices", _one_lowering_amplitude_off_by_one_percent(algebra.ladder_matrices))
+    assert run_in_process("verify", "--out", str(tmp_path)) == 1
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    failed = {check["name"] for check in report["checks"] if not check["pass"]}
+    assert {"differential_realization", "spectrum_vs_occupations"} <= failed
+    assert run_in_process("spectrum", "--out", str(tmp_path)) == 1
+    meta = json.loads((tmp_path / "spectrum.json").read_text())
+    assert meta["exact_match"] is False and float(meta["max_energy_deviation"]) > 1e-3
+
+
 # Values that are huge, tiny, non-finite, fractional or malformed for any
-# key of a family, its Hamiltonian or verify's point count.
+# key of a family, its Hamiltonian, verify's point count or a tolerance.
 FAMILY_EXTREMES = ("1e300", "8.9e307", "1.7e308", "5e-324", "1000000000000", "2.5",
                    "-1", "0", "nan", "inf", "", "x", "%", ";")
 FAMILY_KEYS = ("statistics.r", "statistics.s", "statistics.k", "statistics.n_max",
-               "hamiltonian.e0", "hamiltonian.e", "verify.n_points")
+               "hamiltonian.e0", "hamiltonian.e", "verify.n_points",
+               *(f"tolerances.{key}" for key in ("triple", "differential", "spectrum", "gram",
+                                                 "metric_inverse", "metric_hessian", "overlap")))
 
 
 def _family_value(draw, key, s, r, extreme):
     """One value for ``key`` of a family with sign s on r modes: small and
-    well formed (r <= 2, k <= 12, n_max <= 30), or with ``extreme`` one of
-    FAMILY_EXTREMES, alone or inside the list of energies."""
+    well formed (r <= 3, fermionic k <= 40, bosonic k <= 12, n_max <= 30,
+    a tolerance up to 1e-3), or with ``extreme`` one of FAMILY_EXTREMES,
+    alone or inside the list of energies."""
     if extreme and (key != "hamiltonian.e" or draw(st.booleans())):
         return draw(st.sampled_from(FAMILY_EXTREMES))
     if key == "hamiltonian.e":
@@ -777,10 +847,12 @@ def _family_value(draw, key, s, r, extreme):
         return ",".join(cells)
     if key == "hamiltonian.e0":
         return repr(draw(st.floats(-5.0, 5.0)))
+    if key.startswith("tolerances."):
+        return repr(draw(st.floats(0.0, 1e-3)))
     if key == "statistics.k":
-        return str(draw(st.integers(2, 12))) if s == -1 else repr(draw(st.floats(1.01, 12.0)))
+        return str(draw(st.integers(2, 40))) if s == -1 else repr(draw(st.floats(1.01, 12.0)))
     if key == "statistics.r":
-        return str(draw(st.integers(1, 2)))
+        return str(draw(st.integers(1, 3)))
     if key == "statistics.s":
         return draw(st.sampled_from(("-1", "1")))
     if key == "verify.n_points":
@@ -790,10 +862,11 @@ def _family_value(draw, key, s, r, extreme):
 
 @st.composite
 def family_overrides(draw):
-    """``--set`` items for verify and spectrum: a small family, then a few
-    overrides of its keys, its Hamiltonian or the point count, some extreme."""
+    """``--set`` items for verify and spectrum: a family of up to 11,480
+    states, then a few overrides of its keys, its Hamiltonian, the point
+    count or a tolerance, some extreme."""
     s = draw(st.sampled_from((-1, 1)))
-    r = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 3))
     base = ("statistics.k", "statistics.n_max")
     items = [f"statistics.s={s}", f"statistics.r={r}"]
     items += [f"{key}={_family_value(draw, key, s, r, False)}" for key in base]
@@ -812,14 +885,22 @@ def _dense_command_exits_0_1_or_2(command, overrides):
 
 
 @given(overrides=family_overrides())
-@example(overrides=["statistics.r=40"])  # 12,341 states, refused before any work
+@example(overrides=["statistics.r=40"])  # 12,341 states, once refused by the dense limit
+@example(overrides=["statistics.r=5", "statistics.k=2"])
+@example(overrides=["tolerances.spectrum=nan"])
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_spectrum_settings_exit_0_1_or_2(overrides):
     _dense_command_exits_0_1_or_2("spectrum", overrides)
 
 
 @given(overrides=family_overrides())
+# a 48^40- and a 48^5-point quadrature grid, refused before any work; the
+# second was built, 1.9 GiB an array (a MemoryError traceback under a 3 GB
+# address-space limit)
 @example(overrides=["statistics.r=40"])
+@example(overrides=["statistics.r=5", "statistics.k=2"])
+# a nan tolerance was written into the report as "nan"
+@example(overrides=["tolerances.triple=nan"])
 # a Gauss-Jacobi rule of weight (1 - t)^1e300 overflowed into a traceback,
 # and a huge point count was drawn point by point until memory ran out
 @example(overrides=["statistics.s=1", "statistics.r=1", "statistics.k=1e300", "statistics.n_max=1"])
