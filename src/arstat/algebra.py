@@ -283,6 +283,10 @@ def structure_function(spec: StatisticsSpec, occ: Sequence[int], mode: int) -> f
     return 0.5 * occ[mode] * (2.0 * spec.k - (1 + spec.s) + 2.0 * spec.s * n_tot)
 
 
+class ShiftConflict(ValueError):
+    """Two shifts hold entries in different columns of one row."""
+
+
 @dataclass(frozen=True, eq=False)
 class Shift:
     """A square matrix with at most one entry per row, as two read-only arrays.
@@ -295,7 +299,8 @@ class Shift:
     one.  Each row's entry is a single product of factors, as in the sparse
     product of the same matrices.  Two shifts add to a shift when they
     agree on the column of every row where both hold an entry, as any two
-    products that move the occupations by the same vector do.
+    products that move the occupations by the same vector do; otherwise
+    the sum raises ``ShiftConflict``.
     """
 
     source: np.ndarray
@@ -339,7 +344,7 @@ class Shift:
         held = self.weight != 0
         both = held & (other.weight != 0)
         if np.any(self.source[both] != other.source[both]):
-            raise ValueError("the shifts hold entries in different columns of one row")
+            raise ShiftConflict("the shifts hold entries in different columns of one row")
         return Shift(_read_only(np.where(held, self.source, other.source)), _read_only(self.weight + other.weight))
 
     def __sub__(self, other: "Shift") -> "Shift":
@@ -353,6 +358,52 @@ class Shift:
         rows = np.flatnonzero(self.weight)
         dim = self.weight.size
         return sparse.csr_matrix((self.weight[rows], (rows, self.source[rows])), shape=(dim, dim))
+
+
+@dataclass(frozen=True)
+class _ShiftSum:
+    """A sum of shifts: the operator arithmetic of the relation checks.
+
+    Terms merge into one shift wherever they hold their entries in the same
+    columns, as every product of ladders that respect the grading does, so
+    each entry is rounded as in the sparse arithmetic.  A ladder entry in a
+    column the grading forbids leaves several terms, and their entries in
+    one row and column add up.
+    """
+
+    terms: tuple[Shift, ...]
+    __array_ufunc__ = None  # numpy scalars defer to __rmul__
+
+    def __matmul__(self, other: "_ShiftSum") -> "_ShiftSum":
+        return sum((_ShiftSum((a @ b,)) for a in self.terms for b in other.terms), _ShiftSum(()))
+
+    def __add__(self, other: "_ShiftSum") -> "_ShiftSum":
+        terms = list(self.terms)
+        for b in other.terms:
+            for n, a in enumerate(terms):
+                try:
+                    terms[n] = a + b
+                    break
+                except ShiftConflict:
+                    pass
+            else:
+                terms.append(b)
+        return _ShiftSum(tuple(terms))
+
+    def __sub__(self, other: "_ShiftSum") -> "_ShiftSum":
+        return self + -1.0 * other
+
+    def __mul__(self, scalar) -> "_ShiftSum":
+        return _ShiftSum(tuple(scalar * a for a in self.terms))
+
+    __rmul__ = __mul__
+
+    def tocsr(self) -> sparse.csr_matrix:
+        return sum((a.tocsr() for a in self.terms[1:]), self.terms[0].tocsr())
+
+
+def _sums(ops: Sequence[Shift]) -> list[_ShiftSum]:
+    return [_ShiftSum((op,)) for op in ops]
 
 
 @dataclass(frozen=True)
@@ -449,21 +500,31 @@ class RelationReport:
         )
 
 
-def _comm(a: Shift, b: Shift) -> Shift:
+def _comm(a: _ShiftSum, b: _ShiftSum) -> _ShiftSum:
     return a @ b - b @ a
 
 
-def _residual_norms(residual: Shift, kept: np.ndarray) -> ResidualNorms:
-    """Certified 2-norm bound and largest entry of a residual's kept rows.
+def _residual_norms(residual: _ShiftSum, kept_cols: np.ndarray, kept_rows=True) -> ResidualNorms:
+    """Certified 2-norm bound and largest entry of a residual on its kept columns and rows.
 
     ||R||_2 <= sqrt(||R||_1 ||R||_inf) (Golub & Van Loan, Matrix
     Computations, 2.3).  The bound is exact when each row and column holds
-    at most one entry, as in every ladder residual here: each one shifts
-    the occupations by a single fixed vector.
+    at most one entry, as in every residual of ladders that respect the
+    grading: each one shifts the occupations by a single fixed vector.
+    An entry counts once, at the first term holding it, with the sum of
+    every term's weight in its row and column.
     """
-    mag = np.where(kept, np.abs(residual.weight), 0.0)
-    column_sums = np.bincount(residual.source, weights=mag)
-    return ResidualNorms(math.sqrt(float(column_sums.max()) * float(mag.max())), float(mag.max()))
+    sources = np.array([a.source for a in residual.terms])
+    weights = np.array([a.weight for a in residual.terms])
+    row_sums = column_sums = largest = 0.0
+    for n, (source, weight) in enumerate(zip(sources, weights)):
+        same = sources == source
+        first = (weight != 0) & ~np.any(same[:n] & (weights[:n] != 0), axis=0)
+        mag = np.where(first & kept_rows & kept_cols[source], np.abs(np.sum(weights, axis=0, where=same)), 0.0)
+        row_sums = row_sums + mag
+        column_sums = column_sums + np.bincount(source, weights=mag, minlength=source.size)
+        largest = max(largest, float(mag.max()))
+    return ResidualNorms(math.sqrt(float(column_sums.max()) * float(row_sums.max())), largest)
 
 
 def verify_triple_relations(basis: FockBasis, ladders: LadderOperators | None = None) -> RelationReport:
@@ -471,7 +532,7 @@ def verify_triple_relations(basis: FockBasis, ladders: LadderOperators | None = 
     spec = basis.spec
     if ladders is None:
         ladders = ladder_matrices(basis)
-    am, ap = ladders.lowering, ladders.raising
+    am, ap = _sums(ladders.lowering), _sums(ladders.raising)
     s = spec.s
     r = spec.r
 
@@ -485,8 +546,8 @@ def verify_triple_relations(basis: FockBasis, ladders: LadderOperators | None = 
     worst_lower = ResidualNorms(0.0, 0.0)
     worst_mutual = ResidualNorms(0.0, 0.0)
 
-    def update(current: ResidualNorms, residual: Shift) -> ResidualNorms:
-        norms = _residual_norms(residual, interior[residual.source])
+    def update(current: ResidualNorms, residual: _ShiftSum) -> ResidualNorms:
+        norms = _residual_norms(residual, interior)
         return ResidualNorms(
             max(norms.spectral, current.spectral), max(norms.max_abs, current.max_abs)
         )
@@ -568,14 +629,15 @@ def occupation_energies(basis: FockBasis, hspec: HamiltonianSpec) -> np.ndarray:
     return energies
 
 
-def _hamiltonian_from(spec: StatisticsSpec, hspec: HamiltonianSpec, comms: list[Shift]) -> Shift:
-    # e0 + sum_i e_i h_i from the commutators [a_i^-, a_i^+], each a diagonal shift
+def _hamiltonian_from(basis: FockBasis, hspec: HamiltonianSpec, comms: list[_ShiftSum]) -> _ShiftSum:
+    # e0 + sum_i e_i h_i from the commutators [a_i^-, a_i^+]
+    spec = basis.spec
     if len(hspec.e) != spec.r:
         raise InvalidSpec(f"need {spec.r} mode energies, got {len(hspec.e)}")
     total = comms[0]
     for comm in comms[1:]:
         total = total + comm
-    eye = Shift.identity(comms[0].weight.size)
+    (eye,) = _sums([Shift.identity(basis.dim)])
     h = hspec.e0 * eye
     for e_i, comm in zip(hspec.e, comms):
         h_i = (spec.s / (spec.r + 1.0)) * ((spec.r + 1.0) * comm - total) + energy_shift(spec) * eye
@@ -592,12 +654,13 @@ def hamiltonian_from_commutators(
     with the vacuum-calibrated shift c.  Exact on the whole fermionic space;
     for s=+1 the truncated raising operators corrupt the commutators on the
     top layer, so agreement with ``hamiltonian`` holds on total occupancy
-    <= n_max - 1 only.  Assembled as a diagonal shift, returned as CSR.
+    <= n_max - 1 only.  Assembled as a diagonal shift (a sum of shifts if a
+    ladder entry sits in a column the grading forbids), returned as CSR.
     """
     if ladders is None:
         ladders = ladder_matrices(basis)
-    comms = [_comm(lower, upper) for lower, upper in zip(ladders.lowering, ladders.raising)]
-    return _hamiltonian_from(basis.spec, hspec, comms).tocsr()
+    comms = [_comm(lower, upper) for lower, upper in zip(_sums(ladders.lowering), _sums(ladders.raising))]
+    return _hamiltonian_from(basis, hspec, comms).tocsr()
 
 
 def commutator_spectrum_deviation(
@@ -622,8 +685,8 @@ def commutator_spectrum_deviation(
         for op in products:
             stray = max(stray, float(np.max(np.abs(op.weight[kept & (op.source != rows)]), initial=0.0)))
         diagonal = [Shift.diagonal(np.where(op.source == rows, op.weight, 0.0)) for op in products]
-        comms.append(diagonal[0] - diagonal[1])
-    h = _hamiltonian_from(basis.spec, hspec, comms)
+        comms.extend(_sums([diagonal[0] - diagonal[1]]))
+    (h,) = _hamiltonian_from(basis, hspec, comms).terms
     return max(stray, float(np.max(np.abs(h.weight - energies)[kept], initial=0.0)))
 
 
@@ -642,14 +705,15 @@ def commutator_deviation(spec: StatisticsSpec, n_cap: int, ladders: LadderOperat
         ladders = ladder_matrices(enumerate_basis(spec))
     basis = ladders.basis
     keep = basis.grades <= n_cap
-    eye = Shift.identity(basis.dim)
+    (eye,) = _sums([Shift.identity(basis.dim)])
+    am, ap = _sums(ladders.lowering), _sums(ladders.raising)
     worst = 0.0
     for i in range(spec.r):
         for j in range(spec.r):
-            comm = _comm(ladders.lowering[i], ladders.raising[j])
+            comm = _comm(am[i], ap[j])
             if i == j:
                 comm = comm - spec.k * eye
-            worst = max(worst, _residual_norms(comm, keep & keep[comm.source]).spectral)
+            worst = max(worst, _residual_norms(comm, keep, keep).spectral)
     return worst / spec.k
 
 

@@ -460,14 +460,14 @@ def monomial_moment(rule: QuadratureRule, occ_bra, occ_ket) -> float:
     return math.exp(log_c2) * _radial_moment(rule, np.array(occ_bra, dtype=float))
 
 
-def orthonormality_gram(rule: QuadratureRule, basis: FockBasis, cap: int | None = None) -> np.ndarray:
-    """Gram matrix of the monomial states under the quadrature measure.
+def orthonormality_gram(rule: QuadratureRule, basis: FockBasis, cap: int) -> np.ndarray:
+    """Gram matrix of the monomial states of total occupancy <= cap.
 
-    Distinct monomials are orthogonal by their angular integrals, so the
-    matrix is diagonal.  With ``cap``, only the states of total occupancy
-    <= cap (a leading block of the graded basis) and their moments.
+    Those states are a leading block of the graded basis, and only their
+    moments under the quadrature measure are evaluated.  Distinct monomials
+    are orthogonal by their angular integrals, so the matrix is diagonal.
     """
-    kept = basis.dim if cap is None else int(np.count_nonzero(basis.grades <= cap))
+    kept = int(np.count_nonzero(basis.grades <= cap))
     radial = np.array([_radial_moment(rule, occ) for occ in basis.occupations[:kept]])
     return np.diag(np.exp(2.0 * basis.log_coefficients[:kept]) * radial)
 

@@ -99,12 +99,15 @@ VERIFY_POINT_LIMIT = 2**16
 # 1.9 GiB at 48^5
 VERIFY_MAX_MODES = 4
 
-# verify, spectrum and star-convergence hold a basis and its 2r ladder
-# shifts, 24 bytes a state each, and form products and sums of shifts.  At
-# r=2 and 2^21 states spectrum takes about 9 s and peaks at about 1 GiB;
-# the r=2 commuting_numbers sweep to k=1280 (820,440 states) takes about
-# 1.9 s and 270 MiB
+# verify, spectrum and star-convergence hold a basis, its r occupations
+# and 2r ladder shifts (24 bytes each) a state, and form products and sums
+# of shifts.  Peaks on a 2-vCPU x86_64 host: spectrum about 330 + 80 r
+# bytes a state, the sweep about 120 + 80 r; at r=2 and 2^21 states
+# spectrum takes about 9 s and 1 GiB.  Past r=3 the r * dim occupations
+# set the limit: spectrum at r=4 k=76 (1,502,501 states) takes 8.6 s and
+# 960 MiB, and r=40 k=6 (1,221,759 states, about 4 GiB) is refused
 BASIS_DIM_LIMIT = 2**21
+BASIS_ENTRY_LIMIT = 3 * 2**21
 
 
 # ------------------------------------------------------------ configuration
@@ -237,12 +240,18 @@ def _basis_excess(spec: algebra.StatisticsSpec, limit: int) -> str | None:
     return f"basis dimension {dim}" if dim > limit else None
 
 
+def basis_state_limit(r: int) -> int:
+    """The most states verify, spectrum and star-convergence take on r modes."""
+    return min(BASIS_DIM_LIMIT, BASIS_ENTRY_LIMIT // r)
+
+
 def sized_statistics_spec(cfg: RunConfig) -> algebra.StatisticsSpec:
     """The configured family, refused before any work if its basis is too large."""
     spec = statistics_spec(cfg)
-    excess = _basis_excess(spec, BASIS_DIM_LIMIT)
+    limit = basis_state_limit(spec.r)
+    excess = _basis_excess(spec, limit)
     if excess:
-        raise SizeError(f"{excess} exceeds the limit of {BASIS_DIM_LIMIT} states")
+        raise SizeError(f"{excess} exceeds the limit of {limit} states on {spec.r} modes")
     return spec
 
 
@@ -383,7 +392,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             relations = algebra.verify_triple_relations(basis, ladders)
             differential = bargmann.differential_realization_check(spec, basis, spec.total_cap, ladders)
             rule = bargmann.build_quadrature(spec, n_radial=48)
-            gram = bargmann.orthonormality_gram(rule, basis, cap=min(4, spec.total_cap))
+            gram = bargmann.orthonormality_gram(rule, basis, min(4, spec.total_cap))
             metrics = [bargmann.metric(spec, z) for z in points]
             checks = [
                 Check("triple_relations", relations.max_residual, tol("triple")),
@@ -527,10 +536,11 @@ def cmd_star_convergence(cfg: RunConfig) -> int:
             return algebra.StatisticsSpec(r=r, s=-1, k=k)
         return algebra.StatisticsSpec(r=r, s=+1, k=k, n_max=sweep_n_max)
 
+    limit = basis_state_limit(r)
     for k in k_values:
-        excess = _basis_excess(build_spec(k), BASIS_DIM_LIMIT)
+        excess = _basis_excess(build_spec(k), limit)
         if excess:
-            raise SizeError(f"[sweep] at k = {k:g} the {excess} exceeds {BASIS_DIM_LIMIT} states")
+            raise SizeError(f"[sweep] at k = {k:g} the {excess} exceeds {limit} states on {r} modes")
 
     groups = cfg.get("sweep", "points", _parse_complex_groups, required=False)
     if groups is None:

@@ -81,15 +81,16 @@ def _csr_residual_norms(residual):
     return bound, float(mag.data.max())
 
 
-def csr_triple_relations(basis):
+def csr_triple_relations(basis, ladders=None):
     """((bound, max entry) of the raise, lower and mutual residuals, worst
     over all mode triples), by scipy.sparse arithmetic on ``sparse_ladders``
-    with the columns projected onto the interior grades."""
+    (or on the CSR views of ``ladders``) with the columns projected onto
+    the interior grades."""
     from scipy import sparse
 
     spec = basis.spec
     s, r = spec.s, spec.r
-    am, ap = sparse_ladders(basis)
+    am, ap = sparse_ladders(basis) if ladders is None else (ladders.minus, ladders.plus)
     interior_cap = spec.total_cap - (2 if s == +1 else 0)
     proj = sparse.diags((basis.grades <= interior_cap).astype(complex)).tocsr()
     worst = {"raise": (0.0, 0.0), "lower": (0.0, 0.0), "mutual": (0.0, 0.0)}
@@ -118,13 +119,14 @@ def csr_triple_relations(basis):
     return worst["raise"], worst["lower"], worst["mutual"]
 
 
-def csr_commutator_deviation(basis, n_cap):
+def csr_commutator_deviation(basis, n_cap, ladders=None):
     """max_ij ||P([a_i^-, a_j^+] - k d_ij)P|| / k by the certified bound of
-    the scipy.sparse block on total occupancy <= n_cap."""
+    the scipy.sparse block on total occupancy <= n_cap, on ``sparse_ladders``
+    or on the CSR views of ``ladders``."""
     from scipy import sparse
 
     spec = basis.spec
-    am, ap = sparse_ladders(basis)
+    am, ap = sparse_ladders(basis) if ladders is None else (ladders.minus, ladders.plus)
     keep = np.flatnonzero(basis.grades <= n_cap)
     eye = sparse.identity(basis.dim, dtype=complex, format="csr")
     worst = 0.0

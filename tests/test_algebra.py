@@ -477,6 +477,45 @@ def test_shift_commutator_deviation_is_bitwise_the_csr_one(spec):
         assert commutator_deviation(spec, n_cap, ladders) == csr_commutator_deviation(basis, n_cap)
 
 
+def _entry_moved_to_another_column(ladders):
+    """The r=2 ladders with the a_0^- entry of row |0, 1> moved from the
+    column of |1, 1> to that of |0, 2>, its amplitude kept.  Then
+    a_1^+ a_0^- puts row |0, 2> in column |0, 2> and a_0^- a_1^+ puts it in
+    column |1, 1>: their difference is not a shift."""
+    basis = ladders.basis
+    row = basis.state_index((0, 1))
+    return _with_entry(ladders, "minus", 0, row, basis.state_index((0, 2)), ladders.lowering[0].weight[row])
+
+
+def test_relations_on_an_entry_in_another_column_are_the_csr_ones():
+    from scipy import sparse
+
+    spec = StatisticsSpec(r=2, s=-1, k=5)
+    basis = enumerate_basis(spec)
+    moved = _entry_moved_to_another_column(ladder_matrices(basis))
+    with pytest.raises(ValueError, match="different columns"):
+        moved.raising[1] @ moved.lowering[0] - moved.lowering[0] @ moved.raising[1]
+    report = verify_triple_relations(basis, moved)
+    norms = [report.triple_raise, report.triple_lower, report.mutual_commute]
+    expected = csr_triple_relations(basis, moved)
+    for got, (bound, largest) in zip(norms, expected):
+        assert got.spectral == pytest.approx(bound, rel=1e-14)
+        assert got.max_abs == pytest.approx(largest, rel=1e-14)
+    assert report.max_residual > 1.0
+    for n_cap in (0, 2, 4):
+        assert commutator_deviation(spec, n_cap, moved) == pytest.approx(
+            csr_commutator_deviation(basis, n_cap, moved), rel=1e-14)
+    hspec = HamiltonianSpec(e0=0.3, e=(1.0, 3.0))
+    eye = sparse.identity(basis.dim, dtype=complex, format="csr")
+    comms = [a @ b - b @ a for a, b in zip(moved.minus, moved.plus)]
+    expected_h = 0.3 * eye
+    for e_i, comm in zip(hspec.e, comms):
+        expected_h = expected_h + e_i * ((spec.s / 3.0) * (3.0 * comm - sum(comms)) + energy_shift(spec) * eye)
+    got_h = hamiltonian_from_commutators(basis, hspec, moved)
+    assert abs(got_h - expected_h).max() < 1e-13
+    assert abs(got_h - got_h.T).max() > 0.5  # the moved entry leaves H off the diagonal
+
+
 # ----------------------------------------------------------- Hamiltonian
 
 def test_hamiltonian_worked_example_fermionic():

@@ -765,8 +765,11 @@ def test_husimi_settings_exit_0_1_or_2(overrides):
         # r=40, k=4 has 12,341 states, but verify's Gram check would need a
         # quadrature grid of 48^40 points
         ("verify", ["statistics.r=40"], "48^40 points"),
+        # r=40, k=6 has 1,221,759 states, past the 3 * 2^21 / 40 states the
+        # occupation limit leaves on 40 modes
+        ("spectrum", ["statistics.r=40", "statistics.k=6"], "exceeds the limit of 157286 states on 40 modes"),
     ],
-    ids=["spectrum", "verify"],
+    ids=["spectrum", "verify", "spectrum-r40"],
 )
 def test_dense_commands_refuse_a_large_basis(tmp_path, command, overrides, reason):
     start = time.perf_counter()
@@ -821,6 +824,25 @@ def test_verify_and_spectrum_catch_a_one_percent_ladder_error(tmp_path, monkeypa
     assert run_in_process("spectrum", "--out", str(tmp_path)) == 1
     meta = json.loads((tmp_path / "spectrum.json").read_text())
     assert meta["exact_match"] is False and float(meta["max_energy_deviation"]) > 1e-3
+
+
+def test_verify_fails_an_entry_moved_to_another_column_without_a_traceback(tmp_path, monkeypatch):
+    # the a_0^- entry of row |0, 1> sits in the column of |0, 2>: the
+    # relation residuals are then sums of shifts, not one shift
+    real = algebra.ladder_matrices
+
+    def ladder_matrices(basis):
+        ladders = real(basis)
+        source = ladders.lowering[0].source.copy()
+        source[basis.state_index((0, 1))] = basis.state_index((0, 2))
+        moved = algebra.Shift(source, ladders.lowering[0].weight)
+        return dataclasses.replace(ladders, lowering=(moved, *ladders.lowering[1:]))
+
+    monkeypatch.setattr(algebra, "ladder_matrices", ladder_matrices)
+    assert run_in_process("verify", "--out", str(tmp_path)) == 1
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    failed = {check["name"] for check in report["checks"] if not check["pass"]}
+    assert {"triple_relations", "differential_realization", "spectrum_vs_occupations"} <= failed
 
 
 # Values that are huge, tiny, non-finite, fractional or malformed for any
@@ -888,6 +910,8 @@ def _dense_command_exits_0_1_or_2(command, overrides):
 @example(overrides=["statistics.r=40"])  # 12,341 states, once refused by the dense limit
 @example(overrides=["statistics.r=5", "statistics.k=2"])
 @example(overrides=["tolerances.spectrum=nan"])
+# 1,221,759 states on 40 modes, about 4 GiB of occupations and ladders
+@example(overrides=["statistics.r=40", "statistics.k=6"])
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_spectrum_settings_exit_0_1_or_2(overrides):
     _dense_command_exits_0_1_or_2("spectrum", overrides)
@@ -1080,6 +1104,7 @@ def _inadmissible_sweep_labels(out: Path, args: list[str]) -> list[float]:
 @example(overrides=["sweep.k_values=20.5,40,80"])
 @example(overrides=["sweep.r=1000000000000", "sweep.s=1", "sweep.n_max=0"])
 @example(overrides=["sweep.r=0"])
+@example(overrides=["sweep.r=40", "sweep.s=-1", "sweep.k_values=3,4,6"])
 @example(overrides=["sweep.s=1", "sweep.k_values=1e300,1e301,1e302", "sweep.points=0"])
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_star_convergence_settings_exit_0_1_or_2(overrides):
